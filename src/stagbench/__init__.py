@@ -16,8 +16,6 @@ The package provides
 * a stagnation-terminated experiment harness with a gradient-norm audit
   and deterministic CSV reports (:mod:`stagbench.harness`),
 * a ``stagbench`` command-line tool (:mod:`stagbench.cli`).
-
-Set ``STAGBENCH_DISABLE_NUMBA=1`` to force the pure-numpy kernel path.
 """
 
 from .core import (
@@ -68,7 +66,6 @@ from .harness import (
     ExperimentConfig,
     RunRecord,
     SummaryRow,
-    audit_optimality,
     run_experiment,
     run_single,
     summarize,
@@ -97,7 +94,6 @@ __all__ = [
     "RunRecord",
     "SummaryRow",
     "as_point",
-    "audit_optimality",
     "clamp",
     "default_bounds",
     "default_params",

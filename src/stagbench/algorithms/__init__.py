@@ -27,7 +27,7 @@ source ``default_params`` reads from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping, Tuple
@@ -87,9 +87,9 @@ class ParamSet:
 
 @dataclass
 class AlgoState:
-    """Snapshot of a run: population with cached values, adaptive memory,
-    best-so-far tracker and counters.  Single-consumer: `step` consumes its
-    input state and returns the successor."""
+    """A run in progress: population with cached values, adaptive memory,
+    best-so-far tracker and counters.  `step` advances the state in place
+    and returns it."""
 
     algorithm: str
     params: ParamSet
@@ -238,12 +238,11 @@ def best(state: AlgoState) -> Tuple[np.ndarray, float]:
 
 
 def advance(state: AlgoState, population, values, tracker, evaluated: int) -> AlgoState:
-    """Shared bookkeeping tail for step implementations."""
-    return replace(
-        state,
-        population=population,
-        values=values,
-        tracker=tracker,
-        generation=state.generation + 1,
-        evaluations=state.evaluations + evaluated,
-    )
+    """Shared bookkeeping tail for step implementations: record the new
+    generation in `state` and return it."""
+    state.population = population
+    state.values = values
+    state.tracker = tracker
+    state.generation += 1
+    state.evaluations += evaluated
+    return state

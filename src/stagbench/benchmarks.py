@@ -15,8 +15,8 @@ global optima computable in closed form:
   multiplicative terms ``1e4 w^2 (1 + 1e4 sin^2(1e4 w^2))``.
 
 All minima have value exactly 0.  Batch evaluation dispatches to the kernels
-module (numba or numpy path); ``fd_gradient`` is an independent
-central-difference oracle used to cross-check the analytic gradients.
+module; ``fd_gradient`` is an independent central-difference oracle used to
+cross-check the analytic gradients.
 """
 
 from __future__ import annotations
@@ -190,12 +190,10 @@ def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> Objective
     return ObjectiveSpec(
         name=name,
         dim=dim,
-        evaluator=lambda x, _n=name: value(_n, x),
-        gradient=lambda x, _n=name: gradient(_n, x),
-        domain=bounds,
-        known_optima=inside,
         batch_evaluator=lambda X, _n=name: value_batch(_n, X),
         batch_gradient=lambda X, _n=name: gradient_batch(_n, X),
+        domain=bounds,
+        known_optima=inside,
     )
 
 
@@ -215,14 +213,12 @@ def sphere_objective(dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec
     return ObjectiveSpec(
         name="sphere",
         dim=dim,
-        evaluator=lambda x: float(VALUE["sphere"](as_point(x, dim)[None, :])[0]),
-        gradient=lambda x: GRAD["sphere"](as_point(x, dim)[None, :])[0],
-        domain=bounds,
-        known_optima=known,
         batch_evaluator=lambda X: VALUE["sphere"](
             np.ascontiguousarray(X, dtype=np.float64)
         ),
         batch_gradient=lambda X: GRAD["sphere"](
             np.ascontiguousarray(X, dtype=np.float64)
         ),
+        domain=bounds,
+        known_optima=known,
     )

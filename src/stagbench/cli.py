@@ -66,7 +66,10 @@ class CliConfig:
             raise ValueError("workers must be >= 0")
 
     def effective_workers(self) -> int:
-        return self.workers if self.workers > 0 else (os.cpu_count() or 1)
+        """Worker processes to use: `workers`, or all CPUs when it is 0,
+        never more than the CPU count."""
+        cpus = os.cpu_count() or 1
+        return min(self.workers, cpus) if self.workers > 0 else cpus
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -227,7 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="base seed (default 42)")
         p.add_argument("--max-generations", type=int)
         p.add_argument("--threshold", type=float, help="stationarity threshold")
-        p.add_argument("--workers", type=int, help="worker processes (0 = auto)")
+        p.add_argument(
+            "--workers", type=int,
+            help="worker processes (0 = auto); capped at the CPU count "
+            "and at the number of runs",
+        )
         p.add_argument("--out", help="output directory (default results)")
         cg = p.add_mutually_exclusive_group()
         cg.add_argument(

@@ -108,20 +108,18 @@ def clamp(p: np.ndarray, bounds: Bounds) -> np.ndarray:
 class ObjectiveSpec:
     """An evaluatable objective with analytic gradient and known optima.
 
-    `evaluator` and `gradient` take a single point; the optional batch
-    variants take an (n, dim) array and are used by the optimizers when
-    present.  Evaluators must be deterministic and bounded below on the
-    domain; every known optimum must lie strictly inside the box.
+    `batch_evaluator` maps an (n, dim) array to (n,) values and
+    `batch_gradient` maps it to (n, dim) gradients; `value` and `grad` read
+    a batch of one.  Evaluators must be deterministic and bounded below on
+    the domain; every known optimum must lie strictly inside the box.
     """
 
     name: str
     dim: int
-    evaluator: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    batch_evaluator: Callable[[np.ndarray], np.ndarray]
+    batch_gradient: Callable[[np.ndarray], np.ndarray]
     domain: Bounds
     known_optima: tuple = ()
-    batch_evaluator: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    batch_gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -137,22 +135,15 @@ class ObjectiveSpec:
         object.__setattr__(self, "known_optima", optima)
 
     def value(self, p: np.ndarray) -> float:
-        return float(self.evaluator(p))
+        return float(self.value_batch(as_point(p, self.dim)[None, :])[0])
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if self.batch_evaluator is not None:
-            return np.asarray(self.batch_evaluator(X), dtype=np.float64)
-        return np.array([self.evaluator(x) for x in X], dtype=np.float64)
+        return np.asarray(self.batch_evaluator(X), dtype=np.float64)
 
     def grad(self, p: np.ndarray) -> np.ndarray:
-        return np.asarray(self.gradient(p), dtype=np.float64)
-
-    def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if self.batch_gradient is not None:
-            return np.asarray(self.batch_gradient(X), dtype=np.float64)
-        return np.stack([self.grad(x) for x in X])
+        X = as_point(p, self.dim)[None, :]
+        return np.asarray(self.batch_gradient(X), dtype=np.float64)[0]
 
 
 _U64 = 1 << 64

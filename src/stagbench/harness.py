@@ -34,7 +34,6 @@ __all__ = [
     "run_until_stagnation",
     "run_single",
     "run_experiment",
-    "audit_optimality",
     "summarize",
     "write_records",
     "write_summary",
@@ -217,10 +216,14 @@ def run_experiment(
 ) -> Tuple[List[RunRecord], List[SummaryRow]]:
     """Run the whole grid and aggregate.
 
-    `workers` > 1 fans runs out to a process pool; outputs are sorted by
-    grid key afterwards, so results do not depend on worker count.
+    `workers` > 1 fans runs out to a process pool of at most one process
+    per task; outputs are sorted by grid key afterwards, so results do not
+    depend on worker count.
     """
     tasks = [(f, a, t, r, cfg) for (f, a, t, r) in _tasks(cfg)]
+    # The fork start method launches every pool worker on the first submit,
+    # so a pool wider than the task list only costs processes.
+    workers = min(workers, len(tasks))
     if workers <= 1:
         records = []
         for task in tasks:
@@ -246,13 +249,6 @@ def run_experiment(
     }
     records.sort(key=lambda r: (key[(r.function, r.algorithm, r.T)], r.run_index))
     return records, summarize(records, cfg)
-
-
-def audit_optimality(record: RunRecord, threshold: float) -> str:
-    """First-order stationarity verdict for one record."""
-    if not threshold > 0:
-        raise ValueError("threshold must be > 0")
-    return "stationary" if record.grad_norm <= threshold else "non_stationary"
 
 
 def summarize(

@@ -2,48 +2,23 @@
 
 These are the hot inner loops of every experiment: one call evaluates a whole
 population, shape (n, dim) -> (n,) for values and (n, dim) -> (n, dim) for
-gradients.  Each kernel exists twice:
-
-* a pure-numpy vectorized version (suffix ``_np``), always available;
-* a numba ``@njit`` scalar-loop version, compiled on first use and cached.
-
-The active set (module-level ``VALUE`` / ``GRAD`` dicts) uses the numba
-versions when numba imports cleanly, unless the environment variable
-``STAGBENCH_DISABLE_NUMBA`` is set to a non-empty value other than ``0`` /
-``false``.  Both paths accumulate per-dimension terms in the same order, so
-they agree to floating-point roundoff; ``bench/kernel_bench.py`` times them
-against each other.
+gradients.  Each kernel is a vectorized numpy function; the module-level
+``VALUE`` / ``GRAD`` dicts map a function name to its kernel.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "FREQ",
-    "USING_NUMBA",
-    "VALUE",
-    "GRAD",
-    "NUMPY_VALUE",
-    "NUMPY_GRAD",
-    "NUMBA_VALUE",
-    "NUMBA_GRAD",
-]
+__all__ = ["FREQ", "USING_NUMBA", "VALUE", "GRAD"]
 
 # Oscillation frequency shared by all three benchmark functions.
 FREQ = 1.0e4
 
+# There is no compiled kernel path.  The flag stays because the benchmark
+# driver (perfbench/run.py) prints it in its environment line.
+USING_NUMBA = False
 
-def _disabled_by_env() -> bool:
-    flag = os.environ.get("STAGBENCH_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy path
-# ---------------------------------------------------------------------------
 
 def zhou1_value_np(X: np.ndarray) -> np.ndarray:
     u = X[:, 0] - 1.0
@@ -127,150 +102,15 @@ def sphere_grad_np(X: np.ndarray) -> np.ndarray:
     return 2.0 * X
 
 
-# ---------------------------------------------------------------------------
-# numba path (scalar loops; same accumulation order as above)
-# ---------------------------------------------------------------------------
-
-def _zhou1_value_loop(X):
-    m, n = X.shape
-    out = np.empty(m, dtype=np.float64)
-    for p in range(m):
-        u = X[p, 0] - 1.0
-        total = u * u + np.sin(FREQ * (u * u)) ** 2
-        for i in range(n - 1):
-            r = X[p, i + 1] - 2.0 * X[p, i] * X[p, i]
-            total = total + (FREQ * (r * r) + FREQ * np.sin(FREQ * r) ** 2)
-        out[p] = total
-    return out
-
-
-def _zhou1_grad_loop(X):
-    m, n = X.shape
-    g = np.zeros((m, n), dtype=np.float64)
-    for p in range(m):
-        u = X[p, 0] - 1.0
-        g[p, 0] = 2.0 * u + 2.0 * FREQ * u * np.sin(2.0 * FREQ * (u * u))
-        for i in range(n - 1):
-            xi = X[p, i]
-            r = X[p, i + 1] - 2.0 * xi * xi
-            dterm = 2.0 * FREQ * r + (FREQ * FREQ) * np.sin(2.0 * FREQ * r)
-            g[p, i] += dterm * (-4.0 * xi)
-            g[p, i + 1] += dterm
-    return g
-
-
-def _zhou2_value_loop(X):
-    m, n = X.shape
-    out = np.empty(m, dtype=np.float64)
-    for p in range(m):
-        v = X[p, 0] + 1.0
-        total = v * v + np.sin(FREQ * (v * v)) ** 2
-        for i in range(n - 1):
-            s = X[p, i + 1] * X[p, i + 1] + 2.0 * X[p, i]
-            total = total + (FREQ * (s * s) + FREQ * np.sin(FREQ * (s * s)) ** 2)
-        out[p] = total
-    return out
-
-
-def _zhou2_grad_loop(X):
-    m, n = X.shape
-    g = np.zeros((m, n), dtype=np.float64)
-    for p in range(m):
-        v = X[p, 0] + 1.0
-        g[p, 0] = 2.0 * v + 2.0 * FREQ * v * np.sin(2.0 * FREQ * (v * v))
-        for i in range(n - 1):
-            s = X[p, i + 1] * X[p, i + 1] + 2.0 * X[p, i]
-            dterm = 2.0 * FREQ * s * (1.0 + FREQ * np.sin(2.0 * FREQ * (s * s)))
-            g[p, i] += dterm * 2.0
-            g[p, i + 1] += dterm * (2.0 * X[p, i + 1])
-    return g
-
-
-def _zhou3_value_loop(X):
-    m, n = X.shape
-    out = np.empty(m, dtype=np.float64)
-    for p in range(m):
-        v = X[p, 0] + 1.0
-        total = v * v * (1.0 + np.sin(FREQ * (v * v)) ** 2)
-        for i in range(n - 1):
-            w = X[p, i + 1] * X[p, i + 1] + (2.0 ** (i + 1)) * X[p, i]
-            total = total + FREQ * (w * w) * (1.0 + FREQ * np.sin(FREQ * (w * w)) ** 2)
-        out[p] = total
-    return out
-
-
-def _zhou3_grad_loop(X):
-    m, n = X.shape
-    g = np.zeros((m, n), dtype=np.float64)
-    for p in range(m):
-        v = X[p, 0] + 1.0
-        g[p, 0] = (
-            2.0 * v * (1.0 + np.sin(FREQ * (v * v)) ** 2)
-            + 2.0 * FREQ * (v * v * v) * np.sin(2.0 * FREQ * (v * v))
-        )
-        for i in range(n - 1):
-            coef = 2.0 ** (i + 1)
-            w = X[p, i + 1] * X[p, i + 1] + coef * X[p, i]
-            dterm = (
-                2.0 * FREQ * w * (1.0 + FREQ * np.sin(FREQ * (w * w)) ** 2)
-                + 2.0 * (FREQ * FREQ * FREQ) * (w * w * w) * np.sin(2.0 * FREQ * (w * w))
-            )
-            g[p, i] += dterm * coef
-            g[p, i + 1] += dterm * (2.0 * X[p, i + 1])
-    return g
-
-
-def _sphere_value_loop(X):
-    m, n = X.shape
-    out = np.empty(m, dtype=np.float64)
-    for p in range(m):
-        total = X[p, 0] * X[p, 0]
-        for i in range(1, n):
-            total = total + X[p, i] * X[p, i]
-        out[p] = total
-    return out
-
-
-def _sphere_grad_loop(X):
-    return 2.0 * X
-
-
-NUMPY_VALUE = {
+VALUE = {
     "zhou1": zhou1_value_np,
     "zhou2": zhou2_value_np,
     "zhou3": zhou3_value_np,
     "sphere": sphere_value_np,
 }
-NUMPY_GRAD = {
+GRAD = {
     "zhou1": zhou1_grad_np,
     "zhou2": zhou2_grad_np,
     "zhou3": zhou3_grad_np,
     "sphere": sphere_grad_np,
 }
-
-NUMBA_VALUE = None
-NUMBA_GRAD = None
-USING_NUMBA = False
-
-if not _disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        NUMBA_VALUE = {
-            "zhou1": njit(cache=True)(_zhou1_value_loop),
-            "zhou2": njit(cache=True)(_zhou2_value_loop),
-            "zhou3": njit(cache=True)(_zhou3_value_loop),
-            "sphere": njit(cache=True)(_sphere_value_loop),
-        }
-        NUMBA_GRAD = {
-            "zhou1": njit(cache=True)(_zhou1_grad_loop),
-            "zhou2": njit(cache=True)(_zhou2_grad_loop),
-            "zhou3": njit(cache=True)(_zhou3_grad_loop),
-            "sphere": njit(cache=True)(_sphere_grad_loop),
-        }
-        USING_NUMBA = True
-
-VALUE = NUMBA_VALUE if USING_NUMBA else NUMPY_VALUE
-GRAD = NUMBA_GRAD if USING_NUMBA else NUMPY_GRAD

@@ -21,20 +21,20 @@ def _fresh_state(algorithm, obj=None, seed=42, horizon=1000):
 
 
 class CountingObjective:
-    """Wrap an ObjectiveSpec so every scalar evaluation is counted."""
+    """Wrap an ObjectiveSpec so every evaluated point is counted."""
 
     def __init__(self, inner: ObjectiveSpec):
         self.count = 0
 
-        def counted(x, _inner=inner):
-            self.count += 1
-            return _inner.evaluator(x)
+        def counted(X, _inner=inner):
+            self.count += X.shape[0]
+            return _inner.batch_evaluator(X)
 
         self.spec = ObjectiveSpec(
             name=inner.name,
             dim=inner.dim,
-            evaluator=counted,
-            gradient=inner.gradient,
+            batch_evaluator=counted,
+            batch_gradient=inner.batch_gradient,
             domain=inner.domain,
             known_optima=inner.known_optima,
         )

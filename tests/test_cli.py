@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.metadata
+import os
 import shutil
 import subprocess
 import sys
@@ -90,6 +91,10 @@ class TestParseConfig:
 
     def test_auto_workers_positive(self):
         assert CliConfig(experiment=ExperimentConfig()).effective_workers() >= 1
+
+    def test_workers_capped_at_cpu_count(self):
+        cli_cfg = CliConfig(experiment=ExperimentConfig(), workers=10**6)
+        assert cli_cfg.effective_workers() == (os.cpu_count() or 1)
 
 
 class TestNominalCommand:
@@ -297,9 +302,10 @@ class TestEntryPoint:
         assert [ep.value for ep in installed] == [entry]
         assert shutil.which("stagbench") is not None
 
-    def test_module_invocation(self):
+    @pytest.mark.parametrize("module", ["stagbench.cli", "stagbench"])
+    def test_module_invocation(self, module):
         proc = subprocess.run(
-            [sys.executable, "-m", "stagbench.cli", "bench", "zhou1",
+            [sys.executable, "-m", module, "bench", "zhou1",
              "--point", "1,2,8"],
             capture_output=True,
             text=True,

@@ -158,8 +158,8 @@ class TestObjectiveSpec:
         return ObjectiveSpec(
             name="quad",
             dim=2,
-            evaluator=lambda x: float(x @ x),
-            gradient=lambda x: 2.0 * x,
+            batch_evaluator=lambda X: np.einsum("ij,ij->i", X, X),
+            batch_gradient=lambda X: 2.0 * X,
             domain=Bounds.cube(-1.0, 1.0, 2),
             known_optima=(np.zeros(2),),
         )
@@ -174,17 +174,19 @@ class TestObjectiveSpec:
         spec = self._quad()
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         vals = spec.value_batch(X)
-        assert vals == pytest.approx([spec.value(X[0]), spec.value(X[1])])
-        grads = spec.grad_batch(X)
+        assert vals == pytest.approx([0.05, 0.25])
+        assert [spec.value(x) for x in X] == vals.tolist()
+        grads = spec.batch_gradient(X)
         assert np.allclose(grads, 2.0 * X)
+        assert np.array_equal(np.stack([spec.grad(x) for x in X]), grads)
 
     def test_optimum_outside_domain_rejected(self):
         with pytest.raises(ValueError):
             ObjectiveSpec(
                 name="bad",
                 dim=1,
-                evaluator=lambda x: 0.0,
-                gradient=lambda x: x * 0.0,
+                batch_evaluator=lambda X: np.zeros(len(X)),
+                batch_gradient=lambda X: X * 0.0,
                 domain=Bounds.cube(-1.0, 1.0, 1),
                 known_optima=(np.array([2.0]),),
             )
@@ -194,7 +196,7 @@ class TestObjectiveSpec:
             ObjectiveSpec(
                 name="bad",
                 dim=3,
-                evaluator=lambda x: 0.0,
-                gradient=lambda x: x * 0.0,
+                batch_evaluator=lambda X: np.zeros(len(X)),
+                batch_gradient=lambda X: X * 0.0,
                 domain=Bounds.cube(-1.0, 1.0, 2),
             )

@@ -1,11 +1,6 @@
-"""Tests for stagbench.kernels: numpy/numba parity and formula identities."""
+"""Tests for stagbench.kernels: reference formulas and dispatch tables."""
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -67,19 +62,7 @@ class TestReferenceFormulas:
 
 
 class TestPathParity:
-    """The scalar-loop path must agree with the vectorized numpy path."""
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_loop_matches_numpy_exactly(self, name):
-        X = _sample(n=128, dim=5)
-        loop_val = kernels.NUMPY_VALUE[name]
-        loop_grad = kernels.NUMPY_GRAD[name]
-        # NUMPY_* dicts hold the loop kernels when numba is active; compare
-        # whichever pair is mounted against the explicit vectorized forms.
-        vec_val = getattr(kernels, f"{name}_value_np")
-        vec_grad = getattr(kernels, f"{name}_grad_np")
-        np.testing.assert_allclose(loop_val(X), vec_val(X), rtol=1e-13, atol=0)
-        np.testing.assert_allclose(loop_grad(X), vec_grad(X), rtol=1e-12, atol=1e-8)
+    """Every name has a value and a gradient kernel in the active tables."""
 
     @pytest.mark.parametrize("name", NAMES)
     def test_active_dispatch_tables_complete(self, name):
@@ -91,51 +74,6 @@ class TestPathParity:
         assert np.all(np.isfinite(v)) and np.all(np.isfinite(g))
 
 
-_PARITY_SNIPPET = """
-import json
-import numpy as np
-from stagbench import kernels
-gen = np.random.Generator(np.random.PCG64(123))
-X = gen.uniform(-3.0, 3.0, size=(32, 4))
-out = {"using_numba": kernels.USING_NUMBA}
-for name in __NAMES__:
-    out[name + ".value"] = kernels.VALUE[name](X).tolist()
-    out[name + ".grad"] = kernels.GRAD[name](X).tolist()
-print(json.dumps(out))
-""".replace("__NAMES__", repr(list(NAMES)))
-
-
-def _run_kernels_subprocess(disable_numba: bool) -> dict:
-    env = dict(os.environ)
-    env["STAGBENCH_DISABLE_NUMBA"] = "1" if disable_numba else "0"
-    proc = subprocess.run(
-        [sys.executable, "-c", _PARITY_SNIPPET],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-class TestEnvFlagDualPath:
-    def test_env_flag_selects_path(self):
-        disabled = _run_kernels_subprocess(disable_numba=True)
-        assert disabled["using_numba"] is False
-
-    def test_numba_and_numpy_paths_agree_exactly(self):
-        enabled = _run_kernels_subprocess(disable_numba=False)
-        disabled = _run_kernels_subprocess(disable_numba=True)
-        if not enabled["using_numba"]:
-            pytest.skip("numba unavailable in this environment")
-        for name in NAMES:
-            for part in (".value", ".grad"):
-                a = np.asarray(enabled[name + part])
-                b = np.asarray(disabled[name + part])
-                # identical accumulation order -> bit-for-bit equality
-                assert np.array_equal(a, b), f"{name}{part} diverged between paths"
-
-
 class TestGradientConsistency:
     """Analytic gradients must match a high-order finite difference of the
     same kernel — catches transcription slips in either form."""
@@ -145,7 +83,7 @@ class TestGradientConsistency:
         # Use a tiny h appropriate for the 1e4-frequency oscillation.
         gen = np.random.Generator(np.random.PCG64(5))
         X = gen.uniform(-1.5, 1.5, size=(20, 3))
-        G = kernels.NUMPY_GRAD[name](X)
+        G = kernels.GRAD[name](X)
         h = 1e-9
         for r, x in enumerate(X):
             for d in range(3):
@@ -154,8 +92,8 @@ class TestGradientConsistency:
                 xp[d] += h
                 xm[d] -= h
                 fd = (
-                    kernels.NUMPY_VALUE[name](xp[None, :])[0]
-                    - kernels.NUMPY_VALUE[name](xm[None, :])[0]
+                    kernels.VALUE[name](xp[None, :])[0]
+                    - kernels.VALUE[name](xm[None, :])[0]
                 ) / (2.0 * h)
                 scale = max(1.0, abs(G[r, d]))
                 assert abs(G[r, d] - fd) / scale < 5e-2
