@@ -1,0 +1,66 @@
+"""Golden outputs: the exact bytes of two small experiment grids.
+
+Each grid is all 18 (function, algorithm) cells at one T with one run per
+cell and curves captured.  The sha256 of ``records.csv``, ``summary.csv``
+and of the curve files (concatenated in file-name order, each preceded by
+its name) is pinned.  A change that is meant to be a pure speed-up or
+refactor must keep these bytes; one that changes results on purpose
+re-pins them and says why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+
+import pytest
+
+from stagbench import harness
+
+# (dim, T) -> digests of records.csv, summary.csv and the curve files.
+GOLDEN = {
+    (3, 100): {
+        "records": "aac903c023b171a4625e4d8a0a719e88b65595b0ee3741c03a0158268bbcb995",
+        "summary": "ebf20ce8d239ee4f549b827c22a6b5125557e1e3f8d00b76663a8b0beb41af2f",
+        "curves": "1d11a15a56b4c54fa35281820e1f20f3cf40a6d06fc0173279c97c7bf83b7575",
+    },
+    (10, 60): {
+        "records": "680b23e79ab1faacc09d67af9e0d40ed6a7610243537cc8712ab25a94706cf54",
+        "summary": "2ab2db05e519c58fb436a2ac12777f60f978bdec5e1307db1d1af7ef460a8d98",
+        "curves": "bd3ea89ac0d2ea5e7e58679e46a7d7de7875cfd9cba36332c147d9d522dc60f7",
+    },
+}
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _curves_sha256(paths) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(paths):
+        digest.update(os.path.basename(path).encode() + b"\n")
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("dim,T", sorted(GOLDEN))
+def test_grid_outputs_match_pinned_digests(tmp_path, dim, T):
+    cfg = harness.ExperimentConfig(
+        T_values=(T,), runs=1, base_seed=2025, dim=dim, capture_curves=True
+    )
+    records, summary = harness.run_experiment(cfg)
+    records_path = str(tmp_path / "records.csv")
+    summary_path = str(tmp_path / "summary.csv")
+    harness.write_records(records, records_path)
+    harness.write_summary(summary, summary_path)
+    curves = harness.write_curves(records, str(tmp_path))
+    assert len(records) == 18 and len(curves) == 18
+    got = {
+        "records": _sha256(records_path),
+        "summary": _sha256(summary_path),
+        "curves": _curves_sha256(curves),
+    }
+    assert got == GOLDEN[(dim, T)]
