@@ -27,8 +27,9 @@ source ``default_params`` reads from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from importlib import resources
+from importlib import import_module, resources
 from types import MappingProxyType
 from typing import Mapping, Tuple
 
@@ -155,30 +156,28 @@ def default_params(
     )
 
 
+@functools.cache
 def _module(algorithm: str):
-    from . import clpso, gl25, gwo, hho, lshade, woa
-
-    return {
-        "gl25": gl25,
-        "clpso": clpso,
-        "lshade": lshade,
-        "gwo": gwo,
-        "woa": woa,
-        "hho": hho,
-    }[algorithm]
+    # Imported on first use: the bodies import this package.
+    return import_module("." + algorithm, __name__)
 
 
 def sentinel_values(raw: np.ndarray) -> np.ndarray:
-    """Replace non-finite objective outputs with +inf so they never win."""
+    """Replace non-finite objective outputs with +inf so they never win.
+
+    An all-finite input is returned as is, not copied."""
     raw = np.asarray(raw, dtype=np.float64)
-    return np.where(np.isfinite(raw), raw, np.inf)
+    finite = np.isfinite(raw)
+    if finite.all():
+        return raw
+    return np.where(finite, raw, np.inf)
 
 
 def track_batch(
     tracker: BestTracker, X: np.ndarray, vals: np.ndarray, gen: int
 ) -> BestTracker:
     """Fold a batch of evaluated candidates through update_best in order."""
-    for i in np.flatnonzero(vals < tracker.best_value):
+    for i in (vals < tracker.best_value).nonzero()[0]:
         if vals[i] < tracker.best_value:
             tracker = update_best(tracker, X[i], float(vals[i]), gen)
     return tracker

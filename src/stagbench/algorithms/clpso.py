@@ -31,18 +31,20 @@ def _assign_exemplar(i, n, dim, pc_i, pbest_vals, gen):
     """Exemplar particle index per dimension for particle `i`."""
     exemplar = np.full(dim, i, dtype=np.int64)
     learn = gen.random(dim) < pc_i
-    k = int(learn.sum())
-    if k > 0:
+    k = np.count_nonzero(learn)
+    if k:
         a = gen.integers(0, n, size=k)
         b = gen.integers(0, n, size=k)
         winner = np.where(pbest_vals[a] < pbest_vals[b], a, b)
-        exemplar[learn] = winner
-    if not np.any(exemplar != i):
-        d = int(gen.integers(0, dim))
-        other = int(gen.integers(0, n - 1))
-        if other >= i:
-            other += 1
-        exemplar[d] = other
+        if (winner != i).any():
+            exemplar[learn] = winner
+            return exemplar
+    # Every dimension learns from `i` itself: force one to another particle.
+    d = int(gen.integers(0, dim))
+    other = int(gen.integers(0, n - 1))
+    if other >= i:
+        other += 1
+    exemplar[d] = other
     return exemplar
 
 

@@ -27,7 +27,9 @@ def init_memory(state: AlgoState) -> dict:
 
 
 def _update_leaders(memory: dict, X: np.ndarray, vals: np.ndarray) -> None:
-    for i in range(X.shape[0]):
+    # Leader values only decrease and alpha <= beta <= delta holds, so a row
+    # not below the incoming delta cannot change any leader.
+    for i in (vals < memory["delta"][1]).nonzero()[0]:
         v = float(vals[i])
         if v < memory["alpha"][1]:
             memory["alpha"] = (X[i].copy(), v)

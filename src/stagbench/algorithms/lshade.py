@@ -135,9 +135,11 @@ def step(state: AlgoState) -> AlgoState:
         vals = vals[keep]
 
     limit = max(1, _round_half_up(params.get("archive_rate") * n_next))
-    while archive.shape[0] > limit:
-        evict = int(gen.integers(0, archive.shape[0]))
-        archive = np.delete(archive, evict, axis=0)
+    if archive.shape[0] > limit:
+        rows = list(range(archive.shape[0]))
+        while len(rows) > limit:
+            del rows[int(gen.integers(0, len(rows)))]
+        archive = archive[rows]
     mem["archive"] = archive
 
     return advance(state, X, vals, tracker, evaluated=n)

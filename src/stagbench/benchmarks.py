@@ -68,7 +68,7 @@ def _as_batch(name: str, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
     if name != "sphere":
         _check_dim(X.shape[1])
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("batch contains non-finite coordinates")
     return X
 

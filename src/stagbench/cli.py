@@ -66,9 +66,13 @@ class CliConfig:
             raise ValueError("workers must be >= 0")
 
     def effective_workers(self) -> int:
-        """Worker processes to use: `workers`, or all CPUs when it is 0,
-        never more than the CPU count."""
-        cpus = os.cpu_count() or 1
+        """Worker processes to use: `workers`, or all usable CPUs when it
+        is 0, never more than the usable CPU count.  Usable CPUs are those in
+        the process's affinity mask where the platform reports one."""
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
         return min(self.workers, cpus) if self.workers > 0 else cpus
 
 
@@ -232,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threshold", type=float, help="stationarity threshold")
         p.add_argument(
             "--workers", type=int,
-            help="worker processes (0 = auto); capped at the CPU count "
+            help="worker processes (0 = auto); capped at the usable CPU count "
             "and at the number of runs",
         )
         p.add_argument("--out", help="output directory (default results)")

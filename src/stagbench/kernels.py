@@ -2,8 +2,23 @@
 
 These are the hot inner loops of every experiment: one call evaluates a whole
 population, shape (n, dim) -> (n,) for values and (n, dim) -> (n, dim) for
-gradients.  Each kernel is a vectorized numpy function; the module-level
-``VALUE`` / ``GRAD`` dicts map a function name to its kernel.
+gradients.  The module-level ``VALUE`` / ``GRAD`` dicts map a function name
+to its kernel.
+
+Each zhou function is a head term in ``x[0]`` plus ``dim - 1`` coupling
+terms in ``(x[i], x[i+1])``.  The kernels build all coupling residuals at
+once as one (n, dim - 1) array from ``X[:, 1:]`` and ``X[:, :-1]``, so the
+number of numpy calls does not grow with the dimension.  Floating-point
+addition is not associative, so the order of the additions is fixed:
+
+* values add the terms left to right, ``head + t0 + t1 + ...``, through
+  ``np.add.accumulate``; ``sum`` / ``np.add.reduce`` may add pairwise;
+* gradient column ``j`` receives the term of residual ``j - 1`` first and
+  that of residual ``j`` second (``g[:, 1:] += ...`` before
+  ``g[:, :-1] += ...``), and both land on zeros or on the head term.
+
+In this order every kernel returns the same bits as a loop that handles one
+coupling term per pass, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -20,56 +35,60 @@ FREQ = 1.0e4
 USING_NUMBA = False
 
 
+def _fold(head: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``head + terms[:, 0] + terms[:, 1] + ...``, added left to right."""
+    cols = np.empty((terms.shape[1] + 1, head.shape[0]))
+    cols[0] = head
+    cols[1:] = terms.T
+    return np.add.accumulate(cols, axis=0)[-1]
+
+
 def zhou1_value_np(X: np.ndarray) -> np.ndarray:
     u = X[:, 0] - 1.0
-    total = u * u + np.sin(FREQ * (u * u)) ** 2
-    for i in range(X.shape[1] - 1):
-        r = X[:, i + 1] - 2.0 * X[:, i] * X[:, i]
-        total = total + (FREQ * (r * r) + FREQ * np.sin(FREQ * r) ** 2)
-    return total
+    head = u * u + np.sin(FREQ * (u * u)) ** 2
+    R = X[:, 1:] - 2.0 * X[:, :-1] * X[:, :-1]
+    return _fold(head, FREQ * (R * R) + FREQ * np.sin(FREQ * R) ** 2)
 
 
 def zhou1_grad_np(X: np.ndarray) -> np.ndarray:
     g = np.zeros_like(X)
     u = X[:, 0] - 1.0
     g[:, 0] = 2.0 * u + 2.0 * FREQ * u * np.sin(2.0 * FREQ * (u * u))
-    for i in range(X.shape[1] - 1):
-        xi = X[:, i]
-        r = X[:, i + 1] - 2.0 * xi * xi
-        dterm = 2.0 * FREQ * r + (FREQ * FREQ) * np.sin(2.0 * FREQ * r)
-        g[:, i] += dterm * (-4.0 * xi)
-        g[:, i + 1] += dterm
+    Xi = X[:, :-1]
+    R = X[:, 1:] - 2.0 * Xi * Xi
+    D = 2.0 * FREQ * R + (FREQ * FREQ) * np.sin(2.0 * FREQ * R)
+    g[:, 1:] += D
+    g[:, :-1] += D * (-4.0 * Xi)
     return g
 
 
 def zhou2_value_np(X: np.ndarray) -> np.ndarray:
     v = X[:, 0] + 1.0
-    total = v * v + np.sin(FREQ * (v * v)) ** 2
-    for i in range(X.shape[1] - 1):
-        s = X[:, i + 1] * X[:, i + 1] + 2.0 * X[:, i]
-        total = total + (FREQ * (s * s) + FREQ * np.sin(FREQ * (s * s)) ** 2)
-    return total
+    head = v * v + np.sin(FREQ * (v * v)) ** 2
+    S = X[:, 1:] * X[:, 1:] + 2.0 * X[:, :-1]
+    A = FREQ * (S * S)
+    return _fold(head, A + FREQ * np.sin(A) ** 2)
 
 
 def zhou2_grad_np(X: np.ndarray) -> np.ndarray:
     g = np.zeros_like(X)
     v = X[:, 0] + 1.0
     g[:, 0] = 2.0 * v + 2.0 * FREQ * v * np.sin(2.0 * FREQ * (v * v))
-    for i in range(X.shape[1] - 1):
-        s = X[:, i + 1] * X[:, i + 1] + 2.0 * X[:, i]
-        dterm = 2.0 * FREQ * s * (1.0 + FREQ * np.sin(2.0 * FREQ * (s * s)))
-        g[:, i] += dterm * 2.0
-        g[:, i + 1] += dterm * (2.0 * X[:, i + 1])
+    Xn = X[:, 1:]
+    S = Xn * Xn + 2.0 * X[:, :-1]
+    D = 2.0 * FREQ * S * (1.0 + FREQ * np.sin(2.0 * FREQ * (S * S)))
+    g[:, 1:] += D * (2.0 * Xn)
+    g[:, :-1] += D * 2.0
     return g
 
 
 def zhou3_value_np(X: np.ndarray) -> np.ndarray:
     v = X[:, 0] + 1.0
-    total = v * v * (1.0 + np.sin(FREQ * (v * v)) ** 2)
-    for i in range(X.shape[1] - 1):
-        w = X[:, i + 1] * X[:, i + 1] + (2.0 ** (i + 1)) * X[:, i]
-        total = total + FREQ * (w * w) * (1.0 + FREQ * np.sin(FREQ * (w * w)) ** 2)
-    return total
+    head = v * v * (1.0 + np.sin(FREQ * (v * v)) ** 2)
+    # Exact powers of two 2, 4, ..., 2**(dim-1).
+    W = X[:, 1:] * X[:, 1:] + 2.0 ** np.arange(1, X.shape[1]) * X[:, :-1]
+    A = FREQ * (W * W)
+    return _fold(head, A * (1.0 + FREQ * np.sin(A) ** 2))
 
 
 def zhou3_grad_np(X: np.ndarray) -> np.ndarray:
@@ -79,23 +98,21 @@ def zhou3_grad_np(X: np.ndarray) -> np.ndarray:
         2.0 * v * (1.0 + np.sin(FREQ * (v * v)) ** 2)
         + 2.0 * FREQ * (v * v * v) * np.sin(2.0 * FREQ * (v * v))
     )
-    for i in range(X.shape[1] - 1):
-        coef = 2.0 ** (i + 1)
-        w = X[:, i + 1] * X[:, i + 1] + coef * X[:, i]
-        dterm = (
-            2.0 * FREQ * w * (1.0 + FREQ * np.sin(FREQ * (w * w)) ** 2)
-            + 2.0 * (FREQ * FREQ * FREQ) * (w * w * w) * np.sin(2.0 * FREQ * (w * w))
-        )
-        g[:, i] += dterm * coef
-        g[:, i + 1] += dterm * (2.0 * X[:, i + 1])
+    coef = 2.0 ** np.arange(1, X.shape[1])
+    Xn = X[:, 1:]
+    W = Xn * Xn + coef * X[:, :-1]
+    WW = W * W
+    D = (
+        2.0 * FREQ * W * (1.0 + FREQ * np.sin(FREQ * WW) ** 2)
+        + 2.0 * (FREQ * FREQ * FREQ) * (WW * W) * np.sin(2.0 * FREQ * WW)
+    )
+    g[:, 1:] += D * (2.0 * Xn)
+    g[:, :-1] += D * coef
     return g
 
 
 def sphere_value_np(X: np.ndarray) -> np.ndarray:
-    total = X[:, 0] * X[:, 0]
-    for i in range(1, X.shape[1]):
-        total = total + X[:, i] * X[:, i]
-    return total
+    return _fold(X[:, 0] * X[:, 0], X[:, 1:] * X[:, 1:])
 
 
 def sphere_grad_np(X: np.ndarray) -> np.ndarray:

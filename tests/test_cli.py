@@ -92,9 +92,27 @@ class TestParseConfig:
     def test_auto_workers_positive(self):
         assert CliConfig(experiment=ExperimentConfig()).effective_workers() >= 1
 
-    def test_workers_capped_at_cpu_count(self):
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
         cli_cfg = CliConfig(experiment=ExperimentConfig(), workers=10**6)
-        assert cli_cfg.effective_workers() == (os.cpu_count() or 1)
+        assert cli_cfg.effective_workers() == 3
+
+    def test_auto_workers_follow_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert CliConfig(experiment=ExperimentConfig()).effective_workers() == 1
+        assert CliConfig(experiment=ExperimentConfig(), workers=4).effective_workers() == 1
+
+    def test_workers_fall_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert CliConfig(experiment=ExperimentConfig()).effective_workers() == 6
+        assert CliConfig(experiment=ExperimentConfig(), workers=4).effective_workers() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert CliConfig(experiment=ExperimentConfig()).effective_workers() == 1
 
 
 class TestNominalCommand:

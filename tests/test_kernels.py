@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from stagbench import kernels
+from stagbench import benchmarks, kernels
 
 NAMES = ("zhou1", "zhou2", "zhou3", "sphere")
 
@@ -59,6 +59,141 @@ class TestReferenceFormulas:
         X = _sample()
         assert np.allclose(kernels.sphere_value_np(X), np.sum(X**2, axis=1))
         assert np.allclose(kernels.sphere_grad_np(X), 2.0 * X)
+
+
+# Loop-form kernels: one pass per coupling term, terms added left to right.
+# The column-form kernels must reproduce them bit for bit.
+def _ref_zhou1_value(X):
+    u = X[:, 0] - 1.0
+    total = u * u + np.sin(kernels.FREQ * (u * u)) ** 2
+    for i in range(X.shape[1] - 1):
+        r = X[:, i + 1] - 2.0 * X[:, i] * X[:, i]
+        total = total + (
+            kernels.FREQ * (r * r) + kernels.FREQ * np.sin(kernels.FREQ * r) ** 2
+        )
+    return total
+
+
+def _ref_zhou1_grad(X):
+    F = kernels.FREQ
+    g = np.zeros_like(X)
+    u = X[:, 0] - 1.0
+    g[:, 0] = 2.0 * u + 2.0 * F * u * np.sin(2.0 * F * (u * u))
+    for i in range(X.shape[1] - 1):
+        xi = X[:, i]
+        r = X[:, i + 1] - 2.0 * xi * xi
+        dterm = 2.0 * F * r + (F * F) * np.sin(2.0 * F * r)
+        g[:, i] += dterm * (-4.0 * xi)
+        g[:, i + 1] += dterm
+    return g
+
+
+def _ref_zhou2_value(X):
+    F = kernels.FREQ
+    v = X[:, 0] + 1.0
+    total = v * v + np.sin(F * (v * v)) ** 2
+    for i in range(X.shape[1] - 1):
+        s = X[:, i + 1] * X[:, i + 1] + 2.0 * X[:, i]
+        total = total + (F * (s * s) + F * np.sin(F * (s * s)) ** 2)
+    return total
+
+
+def _ref_zhou2_grad(X):
+    F = kernels.FREQ
+    g = np.zeros_like(X)
+    v = X[:, 0] + 1.0
+    g[:, 0] = 2.0 * v + 2.0 * F * v * np.sin(2.0 * F * (v * v))
+    for i in range(X.shape[1] - 1):
+        s = X[:, i + 1] * X[:, i + 1] + 2.0 * X[:, i]
+        dterm = 2.0 * F * s * (1.0 + F * np.sin(2.0 * F * (s * s)))
+        g[:, i] += dterm * 2.0
+        g[:, i + 1] += dterm * (2.0 * X[:, i + 1])
+    return g
+
+
+def _ref_zhou3_value(X):
+    F = kernels.FREQ
+    v = X[:, 0] + 1.0
+    total = v * v * (1.0 + np.sin(F * (v * v)) ** 2)
+    for i in range(X.shape[1] - 1):
+        w = X[:, i + 1] * X[:, i + 1] + (2.0 ** (i + 1)) * X[:, i]
+        total = total + F * (w * w) * (1.0 + F * np.sin(F * (w * w)) ** 2)
+    return total
+
+
+def _ref_zhou3_grad(X):
+    F = kernels.FREQ
+    g = np.zeros_like(X)
+    v = X[:, 0] + 1.0
+    g[:, 0] = (
+        2.0 * v * (1.0 + np.sin(F * (v * v)) ** 2)
+        + 2.0 * F * (v * v * v) * np.sin(2.0 * F * (v * v))
+    )
+    for i in range(X.shape[1] - 1):
+        coef = 2.0 ** (i + 1)
+        w = X[:, i + 1] * X[:, i + 1] + coef * X[:, i]
+        dterm = (
+            2.0 * F * w * (1.0 + F * np.sin(F * (w * w)) ** 2)
+            + 2.0 * (F * F * F) * (w * w * w) * np.sin(2.0 * F * (w * w))
+        )
+        g[:, i] += dterm * coef
+        g[:, i + 1] += dterm * (2.0 * X[:, i + 1])
+    return g
+
+
+def _ref_sphere_value(X):
+    total = X[:, 0] * X[:, 0]
+    for i in range(1, X.shape[1]):
+        total = total + X[:, i] * X[:, i]
+    return total
+
+
+REFERENCE = {
+    ("zhou1", "value"): _ref_zhou1_value,
+    ("zhou1", "grad"): _ref_zhou1_grad,
+    ("zhou2", "value"): _ref_zhou2_value,
+    ("zhou2", "grad"): _ref_zhou2_grad,
+    ("zhou3", "value"): _ref_zhou3_value,
+    ("zhou3", "grad"): _ref_zhou3_grad,
+    ("sphere", "value"): _ref_sphere_value,
+}
+
+
+def _oracle_batches(dim):
+    """Random batches of 1, 7 and 180 rows at coordinate scales 1e-6..1e3,
+    plus rows where residuals vanish exactly or carry signed zeros."""
+    gen = np.random.Generator(np.random.PCG64(1000 + dim))
+    for n in (1, 7, 180):
+        for scale in (1e-6, 1e-4, 1e-2, 1.0, 10.0, 1e3):
+            yield gen.uniform(-scale, scale, size=(n, dim))
+    special = [np.zeros(dim), -np.zeros(dim), np.where(np.arange(dim) % 2, -0.0, 0.0)]
+    for f in benchmarks.FUNCTIONS:
+        for b in benchmarks.BRANCHES:
+            # zhou1's minimizer grows as x[i+1] = 2 x[i]^2 and overflows.
+            with np.errstate(over="ignore"):
+                x = benchmarks.optimum(f, dim, b)
+            if np.abs(x).max() <= 1e3:
+                special.append(x)
+    yield np.array(special)
+
+
+class TestBitExactOracle:
+    """The column-form kernels equal the loop-form references in every bit."""
+
+    @pytest.mark.parametrize("name,kind", sorted(REFERENCE))
+    def test_matches_loop_reference_bit_for_bit(self, name, kind):
+        kernel = (kernels.VALUE if kind == "value" else kernels.GRAD)[name]
+        ref = REFERENCE[(name, kind)]
+        cases = 0
+        for dim in range(2, 13):
+            for X in _oracle_batches(dim):
+                got, want = kernel(X), ref(X)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                    f"{name} {kind} differs at dim {dim}, n {X.shape[0]}"
+                )
+                cases += 1
+        assert cases == 11 * 19
 
 
 class TestPathParity:
