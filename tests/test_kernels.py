@@ -64,13 +64,12 @@ class TestReferenceFormulas:
 # Loop-form kernels: one pass per coupling term, terms added left to right.
 # The column-form kernels must reproduce them bit for bit.
 def _ref_zhou1_value(X):
+    F = kernels.FREQ
     u = X[:, 0] - 1.0
-    total = u * u + np.sin(kernels.FREQ * (u * u)) ** 2
+    total = u * u + np.sin(F * (u * u)) ** 2
     for i in range(X.shape[1] - 1):
         r = X[:, i + 1] - 2.0 * X[:, i] * X[:, i]
-        total = total + (
-            kernels.FREQ * (r * r) + kernels.FREQ * np.sin(kernels.FREQ * r) ** 2
-        )
+        total = total + (F * (r * r) + F * np.sin(F * r) ** 2)
     return total
 
 
