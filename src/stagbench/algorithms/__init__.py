@@ -12,8 +12,10 @@ Every algorithm is driven the same way::
 search box, batch evaluation, selection, adaptive-memory update, and
 best-so-far tracking.  Uniform rules shared by all six implementations:
 
-* candidates are clamped to the objective's box right after generation;
-* non-finite objective values become +inf sentinels and are never selected;
+* candidates go through ``evaluate``, which clamps them to the objective's
+  box, evaluates them, turns non-finite values into +inf sentinels (never
+  selected), folds them into the best-so-far tracker in row order and counts
+  them; ``advance`` then records the new population and generation;
 * ties in selection keep the incumbent (strict improvement only), matching
   the strict best-so-far tracker;
 * time-decaying coefficients and population schedules are denominated in
@@ -236,12 +238,23 @@ def best(state: AlgoState) -> Tuple[np.ndarray, float]:
     return state.tracker.best_point.copy(), state.tracker.best_value
 
 
-def advance(state: AlgoState, population, values, tracker, evaluated: int) -> AlgoState:
+def evaluate(state: AlgoState, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Shared evaluation tail of every step: clamp `X` to the box, evaluate
+    it, map non-finite values to +inf, fold the rows into the tracker in row
+    order at the generation being built and count them.
+
+    Returns the clamped candidates and their values."""
+    X = state.objective.domain.clip(X)
+    vals = sentinel_values(state.objective.value_batch(X))
+    state.tracker = track_batch(state.tracker, X, vals, state.generation + 1)
+    state.evaluations += X.shape[0]
+    return X, vals
+
+
+def advance(state: AlgoState, population, values) -> AlgoState:
     """Shared bookkeeping tail for step implementations: record the new
     generation in `state` and return it."""
     state.population = population
     state.values = values
-    state.tracker = tracker
     state.generation += 1
-    state.evaluations += evaluated
     return state

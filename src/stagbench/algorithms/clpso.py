@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, schedule_fraction, sentinel_values, track_batch
+from . import AlgoState, advance, evaluate, schedule_fraction
 
 
 def _pc_vector(n: int) -> np.ndarray:
@@ -27,25 +27,26 @@ def _pc_vector(n: int) -> np.ndarray:
     return 0.05 + 0.45 * (np.expm1(10.0 * i / (n - 1))) / np.expm1(10.0)
 
 
-def _assign_exemplar(i, n, dim, pc_i, pbest_vals, gen):
-    """Exemplar particle index per dimension for particle `i`."""
-    exemplar = np.full(dim, i, dtype=np.int64)
+def _assign_exemplar(exemplar, i, n, dim, pc_i, pbest_vals, gen):
+    """Write particle `i`'s exemplar index per dimension into `exemplar`."""
+    exemplar[:] = i
     learn = gen.random(dim) < pc_i
     k = np.count_nonzero(learn)
     if k:
-        a = gen.integers(0, n, size=k)
-        b = gen.integers(0, n, size=k)
-        winner = np.where(pbest_vals[a] < pbest_vals[b], a, b)
-        if (winner != i).any():
+        # k scalar draws return the same numbers, and leave the generator in
+        # the same state, as one draw of size k, without its per-call cost.
+        a = [gen.integers(0, n) for _ in range(k)]
+        b = [gen.integers(0, n) for _ in range(k)]
+        winner = [x if pbest_vals[x] < pbest_vals[y] else y for x, y in zip(a, b)]
+        if any(w != i for w in winner):
             exemplar[learn] = winner
-            return exemplar
+            return
     # Every dimension learns from `i` itself: force one to another particle.
     d = int(gen.integers(0, dim))
     other = int(gen.integers(0, n - 1))
     if other >= i:
         other += 1
     exemplar[d] = other
-    return exemplar
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -60,8 +61,8 @@ def init_memory(state: AlgoState) -> dict:
         "pc": pc,
     }
     for i in range(n):
-        memory["exemplar"][i] = _assign_exemplar(
-            i, n, dim, pc[i], memory["pbest_vals"], state.gen_rng
+        _assign_exemplar(
+            memory["exemplar"][i], i, n, dim, pc[i], memory["pbest_vals"], state.gen_rng
         )
     return memory
 
@@ -80,25 +81,21 @@ def step(state: AlgoState) -> AlgoState:
     gap = int(params.get("refreshing_gap"))
     vmax = params.get("vmax_fraction") * state.objective.domain.span
 
-    stale = np.flatnonzero(mem["flags"] >= gap)
-    for i in stale:
-        mem["exemplar"][i] = _assign_exemplar(
-            int(i), n, dim, mem["pc"][i], mem["pbest_vals"], gen
-        )
-        mem["flags"][i] = 0
+    exemplar, pbest, pbest_vals = mem["exemplar"], mem["pbest"], mem["pbest_vals"]
+    stale = (mem["flags"] >= gap).nonzero()[0]
+    if stale.size:
+        for i in stale.tolist():
+            _assign_exemplar(exemplar[i], i, n, dim, mem["pc"][i], pbest_vals, gen)
+        mem["flags"][stale] = 0
 
-    target = mem["pbest"][mem["exemplar"], np.arange(dim)[None, :]]
+    target = pbest[exemplar, np.arange(dim)]
     r = gen.random((n, dim))
-    v = w * mem["velocity"] + c * r * (target - X)
-    v = np.clip(v, -vmax, vmax)
-    moved = np.clip(X + v, state.objective.domain.lo, state.objective.domain.hi)
-    vals = sentinel_values(state.objective.value_batch(moved))
+    v = (w * mem["velocity"] + c * r * (target - X)).clip(-vmax, vmax)
+    moved, vals = evaluate(state, X + v)
 
-    improved = vals < mem["pbest_vals"]
+    improved = vals < pbest_vals
     mem["velocity"] = v
-    mem["pbest"][improved] = moved[improved]
-    mem["pbest_vals"][improved] = vals[improved]
+    np.copyto(pbest, moved, where=improved[:, None])
+    np.copyto(pbest_vals, vals, where=improved)
     mem["flags"] = np.where(improved, 0, mem["flags"] + 1)
-
-    tracker = track_batch(state.tracker, moved, vals, state.generation + 1)
-    return advance(state, moved, vals, tracker, evaluated=n)
+    return advance(state, moved, vals)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, schedule_fraction, sentinel_values, track_batch
+from . import AlgoState, advance, evaluate
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -35,7 +35,6 @@ def step(state: AlgoState) -> AlgoState:
     n, dim = X.shape
     gen = state.gen_rng
     params = state.params
-    domain = state.objective.domain
 
     global_gens = params.get("global_fraction") * params.schedule_horizon
     global_phase = state.generation < global_gens
@@ -46,7 +45,7 @@ def step(state: AlgoState) -> AlgoState:
         female_idx = gen.integers(0, n, size=n)
     else:
         elite = max(1, int(np.ceil(params.get("local_female_fraction") * n)))
-        pool = np.argsort(vals, kind="stable")[:elite]
+        pool = vals.argsort(kind="stable")[:elite]
         female_idx = pool[gen.integers(0, elite, size=n)]
 
     cand = gen.integers(0, n - 1, size=(n, n_cand))
@@ -54,16 +53,15 @@ def step(state: AlgoState) -> AlgoState:
 
     fem = X[female_idx]
     dists = ((X[cand] - fem[:, None, :]) ** 2).sum(axis=2)
-    pick = np.argmax(dists, axis=1) if global_phase else np.argmin(dists, axis=1)
+    pick = dists.argmax(axis=1) if global_phase else dists.argmin(axis=1)
     male = X[cand[np.arange(n), pick]]
 
     spread = alpha * np.abs(fem - male)
-    children = fem + spread * gen.uniform(-1.0, 1.0, size=(n, dim))
-    children = np.clip(children, domain.lo, domain.hi)
-    cvals = sentinel_values(state.objective.value_batch(children))
-    tracker = track_batch(state.tracker, children, cvals, state.generation + 1)
+    children, cvals = evaluate(
+        state, fem + spread * gen.uniform(-1.0, 1.0, size=(n, dim))
+    )
 
     combined = np.concatenate([X, children], axis=0)
     combined_vals = np.concatenate([vals, cvals])
-    keep = np.argsort(combined_vals, kind="stable")[:n]
-    return advance(state, combined[keep], combined_vals[keep], tracker, evaluated=n)
+    keep = combined_vals.argsort(kind="stable")[:n]
+    return advance(state, combined[keep], combined_vals[keep])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, schedule_fraction, sentinel_values, track_batch
+from . import AlgoState, advance, evaluate, schedule_fraction
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -40,24 +40,28 @@ def _update_leaders(memory: dict, X: np.ndarray, vals: np.ndarray) -> None:
 
 
 def step(state: AlgoState) -> AlgoState:
-    n, dim = state.population.shape
+    X = state.population
+    n, dim = X.shape
     gen = state.gen_rng
     a = 2.0 * (1.0 - schedule_fraction(state.generation, state.params.schedule_horizon))
 
     r = gen.random((3, 2, n, dim))
+    best = state.tracker.best_point
+    P = np.array(
+        [
+            best if point is None else point
+            for point, _ in (state.memory[k] for k in ("alpha", "beta", "delta"))
+        ]
+    )[:, None, :]
+    # The three leader pulls as one (3, n, dim) array, added onto zeros in
+    # leader order so the sum (signed zeros included) matches a running total.
+    pulls = P - (2.0 * a * r[:, 0] - a) * np.abs(2.0 * r[:, 1] * P - X)
     moved = np.zeros((n, dim))
-    for k, leader in enumerate(("alpha", "beta", "delta")):
-        point, value = state.memory[leader]
-        if point is None:
-            point = state.tracker.best_point
-        A = 2.0 * a * r[k, 0] - a
-        C = 2.0 * r[k, 1]
-        D = np.abs(C * point[None, :] - state.population)
-        moved += point[None, :] - A * D
+    moved += pulls[0]
+    moved += pulls[1]
+    moved += pulls[2]
     moved /= 3.0
 
-    moved = np.clip(moved, state.objective.domain.lo, state.objective.domain.hi)
-    vals = sentinel_values(state.objective.value_batch(moved))
+    moved, vals = evaluate(state, moved)
     _update_leaders(state.memory, moved, vals)
-    tracker = track_batch(state.tracker, moved, vals, state.generation + 1)
-    return advance(state, moved, vals, tracker, evaluated=n)
+    return advance(state, moved, vals)

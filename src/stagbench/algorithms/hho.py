@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from . import AlgoState, advance, schedule_fraction, sentinel_values, track_batch
+from . import AlgoState, advance, evaluate, schedule_fraction
 
 _LEVY_BETA_SIGMA_CACHE = {}
 
@@ -48,7 +48,7 @@ def step(state: AlgoState) -> AlgoState:
     beta = state.params.get("levy_beta")
     scale = state.params.get("levy_scale")
     rabbit = state.tracker.best_point
-    mean = X.mean(axis=0)
+    mean = np.add.reduce(X, axis=0) / n
     e1 = 2.0 * (1.0 - schedule_fraction(state.generation, state.params.schedule_horizon))
 
     # One fixed block of draws per generation keeps the stream layout
@@ -67,78 +67,51 @@ def step(state: AlgoState) -> AlgoState:
     E = e1 * e0
     absE = np.abs(E)
     explore = absE >= 1.0
-    soft = ~explore & (r >= 0.5) & (absE >= 0.5)
-    hard = ~explore & (r >= 0.5) & (absE < 0.5)
-    soft_dive = ~explore & (r < 0.5) & (absE >= 0.5)
-    hard_dive = ~explore & (r < 0.5) & (absE < 0.5)
+    soft = (absE >= 0.5)[:, None]
+    # Exploration and the two besieges replace the hawk unconditionally;
+    # the other hawks dive.
+    uncond = explore | (r >= 0.5)
+
+    # Every branch formula on all rows, picked per row.
+    E = E[:, None]
+    ra = ra[:, None]
+    rb = rb[:, None]
+    jr = jump[:, None] * rabbit
+    soft_pull = E * np.abs(jr - X)  # shared by soft besiege and soft dive
+    RX = rabbit - X
+    Xr = X[perch_idx]
+    cand = np.where(
+        explore[:, None],
+        np.where(
+            (q < 0.5)[:, None],
+            Xr - ra * np.abs(Xr - 2.0 * rb * X),
+            (rabbit - mean) - ra * (lo + rb * (hi - lo)),
+        ),
+        np.where(soft, RX - soft_pull, rabbit - E * np.abs(RX)),
+    )
 
     new_X = X.copy()
     new_vals = vals.copy()
-
-    # --- unconditional-replacement branches, evaluated as one batch
-    perch = q < 0.5
-    cand = np.empty((n, dim))
-    Xr = X[perch_idx]
-    cand[explore & perch] = (
-        Xr - ra[:, None] * np.abs(Xr - 2.0 * rb[:, None] * X)
-    )[explore & perch]
-    cand[explore & ~perch] = (
-        (rabbit[None, :] - mean[None, :])
-        - ra[:, None] * (lo[None, :] + rb[:, None] * (hi - lo)[None, :])
-    )[explore & ~perch]
-    cand[soft] = (
-        (rabbit[None, :] - X)
-        - E[:, None] * np.abs(jump[:, None] * rabbit[None, :] - X)
-    )[soft]
-    cand[hard] = (
-        rabbit[None, :] - E[:, None] * np.abs(rabbit[None, :] - X)
-    )[hard]
-
-    uncond = explore | soft | hard
-    evaluated = 0
     if uncond.any():
-        moved = np.clip(cand[uncond], lo, hi)
-        mvals = sentinel_values(state.objective.value_batch(moved))
-        new_X[uncond] = moved
-        new_vals[uncond] = mvals
-        evaluated += int(uncond.sum())
-        tracker = track_batch(state.tracker, moved, mvals, state.generation + 1)
-    else:
-        tracker = state.tracker
+        new_X[uncond], new_vals[uncond] = evaluate(state, cand[uncond])
 
-    # --- rapid-dive branches: Y always tried, Z only where Y fails
-    diving = soft_dive | hard_dive
-    if diving.any():
-        Y = np.empty((n, dim))
-        Y[soft_dive] = (
-            rabbit[None, :]
-            - E[:, None] * np.abs(jump[:, None] * rabbit[None, :] - X)
-        )[soft_dive]
-        Y[hard_dive] = (
-            rabbit[None, :]
-            - E[:, None] * np.abs(jump[:, None] * rabbit[None, :] - mean[None, :])
-        )[hard_dive]
-        sigma = _levy_sigma(beta)
-        levy = scale * sigma * levy_u / np.abs(levy_v) ** (1.0 / beta)
-        Z = Y + dive_rand * levy
+    # Rapid dives: Y always tried, the Levy point Z only where Y fails.
+    idx = (~uncond).nonzero()[0]
+    if idx.size:
+        Y = np.where(soft, rabbit - soft_pull, rabbit - E * np.abs(jr - mean))
+        Yc, yvals = evaluate(state, Y[idx])
+        accept = yvals < vals[idx]
+        new_X[idx[accept]] = Yc[accept]
+        new_vals[idx[accept]] = yvals[accept]
 
-        idx = np.flatnonzero(diving)
-        Yc = np.clip(Y[idx], lo, hi)
-        yvals = sentinel_values(state.objective.value_batch(Yc))
-        evaluated += idx.size
-        tracker = track_batch(tracker, Yc, yvals, state.generation + 1)
-        accept_y = yvals < vals[idx]
-        new_X[idx[accept_y]] = Yc[accept_y]
-        new_vals[idx[accept_y]] = yvals[accept_y]
-
-        zidx = idx[~accept_y]
+        zidx = idx[~accept]
         if zidx.size:
-            Zc = np.clip(Z[zidx], lo, hi)
-            zvals = sentinel_values(state.objective.value_batch(Zc))
-            evaluated += zidx.size
-            tracker = track_batch(tracker, Zc, zvals, state.generation + 1)
-            accept_z = zvals < vals[zidx]
-            new_X[zidx[accept_z]] = Zc[accept_z]
-            new_vals[zidx[accept_z]] = zvals[accept_z]
+            levy = scale * _levy_sigma(beta) * levy_u[zidx] / np.abs(levy_v[zidx]) ** (
+                1.0 / beta
+            )
+            Zc, zvals = evaluate(state, Y[zidx] + dive_rand[zidx] * levy)
+            accept = zvals < vals[zidx]
+            new_X[zidx[accept]] = Zc[accept]
+            new_vals[zidx[accept]] = zvals[accept]
 
-    return advance(state, new_X, new_vals, tracker, evaluated=evaluated)
+    return advance(state, new_X, new_vals)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, sentinel_values, track_batch
+from . import AlgoState, advance, evaluate
 
 
 def _round_half_up(x: float) -> int:
@@ -53,53 +53,52 @@ def step(state: AlgoState) -> AlgoState:
     h = mem["m_f"].size
     archive = mem["archive"]
 
-    order = np.argsort(vals, kind="stable")
+    order = vals.argsort(kind="stable")
     p_num = max(2, _round_half_up(params.get("p_best_fraction") * n))
 
     r_mem = gen.integers(0, h, size=n)
-    cr = mem["m_cr"][r_mem] + 0.1 * gen.standard_normal(n)
-    cr = np.clip(cr, 0.0, 1.0)
-    cr[np.isnan(mem["m_cr"][r_mem])] = 0.0
+    m_cr = mem["m_cr"][r_mem]
+    cr = (m_cr + 0.1 * gen.standard_normal(n)).clip(0.0, 1.0)
+    cr[np.isnan(m_cr)] = 0.0
 
+    # The rejection loops redraw only the entries still rejected, in
+    # ascending order: the same draws as redrawing every rejected entry of
+    # the whole vector.
     loc = mem["m_f"][r_mem]
     f = loc + 0.1 * gen.standard_cauchy(n)
-    need = f <= 0.0
-    while need.any():
-        f[need] = loc[need] + 0.1 * gen.standard_cauchy(int(need.sum()))
-        need = f <= 0.0
-    f = np.minimum(f, 1.0)
+    bad = (f <= 0.0).nonzero()[0]
+    while bad.size:
+        f[bad] = loc[bad] + 0.1 * gen.standard_cauchy(bad.size)
+        bad = bad[f[bad] <= 0.0]
+    f = np.minimum(f, 1.0)[:, None]
 
     pbest = order[gen.integers(0, p_num, size=n)]
 
     idx = np.arange(n)
     r1 = gen.integers(0, n, size=n)
-    bad = r1 == idx
-    while bad.any():
-        r1[bad] = gen.integers(0, n, size=int(bad.sum()))
-        bad = r1 == idx
+    bad = (r1 == idx).nonzero()[0]
+    while bad.size:
+        r1[bad] = drawn = gen.integers(0, n, size=bad.size)
+        bad = bad[drawn == bad]
 
     pool = n + archive.shape[0]
     r2 = gen.integers(0, pool, size=n)
-    bad = (r2 == idx) | (r2 == r1)
-    while bad.any():
-        r2[bad] = gen.integers(0, pool, size=int(bad.sum()))
-        bad = (r2 == idx) | (r2 == r1)
+    bad = ((r2 == idx) | (r2 == r1)).nonzero()[0]
+    while bad.size:
+        r2[bad] = drawn = gen.integers(0, pool, size=bad.size)
+        bad = bad[(drawn == bad) | (drawn == r1[bad])]
 
     jrand = gen.integers(0, dim, size=n)
     cross = gen.random((n, dim)) < cr[:, None]
     cross[idx, jrand] = True
 
     donors = np.concatenate([X, archive], axis=0) if archive.size else X
-    mutant = X + f[:, None] * (X[pbest] - X) + f[:, None] * (X[r1] - donors[r2])
-    trial = np.where(cross, mutant, X)
-    trial = np.clip(trial, state.objective.domain.lo, state.objective.domain.hi)
-
-    tvals = sentinel_values(state.objective.value_batch(trial))
-    tracker = track_batch(state.tracker, trial, tvals, state.generation + 1)
+    mutant = X + f * (X[pbest] - X) + f * (X[r1] - donors[r2])
+    trial, tvals = evaluate(state, np.where(cross, mutant, X))
 
     win = tvals < vals
     if win.any():
-        s_f = f[win]
+        s_f = f[win, 0]
         s_cr = cr[win]
         weights = vals[win] - tvals[win]
         finite_w = np.isfinite(weights)
@@ -112,34 +111,36 @@ def step(state: AlgoState) -> AlgoState:
         if wsum > 0:
             wn = weights / wsum
             k = mem["k"]
-            mem["m_f"][k] = np.sum(wn * s_f**2) / np.sum(wn * s_f)
+            mem["m_f"][k] = (wn * s_f**2).sum() / (wn * s_f).sum()
             if np.isnan(mem["m_cr"][k]) or s_cr.max() == 0.0:
                 mem["m_cr"][k] = np.nan
             else:
-                mem["m_cr"][k] = np.sum(wn * s_cr**2) / np.sum(wn * s_cr)
+                mem["m_cr"][k] = (wn * s_cr**2).sum() / (wn * s_cr).sum()
             mem["k"] = (k + 1) % h
 
         archive = np.concatenate([archive, X[win]], axis=0)
-        X = X.copy()
-        vals = vals.copy()
-        X[win] = trial[win]
-        vals[win] = tvals[win]
+        X = np.where(win[:, None], trial, X)
+        vals = np.where(win, tvals, vals)
 
     n_min = int(params.get("pop_min"))
     frac = min(1.0, (state.generation + 1) / params.schedule_horizon)
     n_next = _round_half_up(mem["pop_init"] + (n_min - mem["pop_init"]) * frac)
     n_next = max(n_min, min(n, n_next))
     if n_next < n:
-        keep = np.sort(np.argsort(vals, kind="stable")[:n_next])
+        keep = np.sort(vals.argsort(kind="stable")[:n_next])
         X = X[keep]
         vals = vals[keep]
 
     limit = max(1, _round_half_up(params.get("archive_rate") * n_next))
-    if archive.shape[0] > limit:
-        rows = list(range(archive.shape[0]))
-        while len(rows) > limit:
-            del rows[int(gen.integers(0, len(rows)))]
+    m = archive.shape[0]
+    if m > limit:
+        # One broadcast draw over the shrinking row counts m, m-1, ...,
+        # limit+1 returns the same numbers, and leaves the generator in the
+        # same state, as one scalar draw per evicted row.
+        rows = list(range(m))
+        for pick in gen.integers(0, np.arange(m, limit, -1)).tolist():
+            del rows[pick]
         archive = archive[rows]
     mem["archive"] = archive
 
-    return advance(state, X, vals, tracker, evaluated=n)
+    return advance(state, X, vals)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, schedule_fraction, sentinel_values, track_batch
+from . import AlgoState, advance, evaluate, schedule_fraction
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -50,9 +50,5 @@ def step(state: AlgoState) -> AlgoState:
     )
 
     hunt = np.where((np.abs(A) < 1.0), encircle, explore)
-    moved = np.where((p < 0.5)[:, None], hunt, spiral)
-
-    moved = np.clip(moved, state.objective.domain.lo, state.objective.domain.hi)
-    vals = sentinel_values(state.objective.value_batch(moved))
-    tracker = track_batch(state.tracker, moved, vals, state.generation + 1)
-    return advance(state, moved, vals, tracker, evaluated=n)
+    moved, vals = evaluate(state, np.where((p < 0.5)[:, None], hunt, spiral))
+    return advance(state, moved, vals)

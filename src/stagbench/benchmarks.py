@@ -104,7 +104,9 @@ def optimum(name: str, dim: int, branch: str = "minus") -> np.ndarray:
 
     `zhou2` and `zhou3` have two minimizers differing in the sign of the
     last coordinate; `branch` selects it ("minus" or "plus").  `zhou1` has a
-    unique minimizer and ignores `branch`.
+    unique minimizer and ignores `branch`; its coordinates ``2**(2**i - 1)``
+    pass the float64 range from dim 12 on, and those coordinates are
+    ``inf`` (``objective`` drops such a point as outside the box).
     """
     _check_name(name)
     dim = _check_dim(dim)
@@ -113,8 +115,9 @@ def optimum(name: str, dim: int, branch: str = "minus") -> np.ndarray:
     x = np.empty(dim, dtype=np.float64)
     if name == "zhou1":
         x[0] = 1.0
-        for i in range(dim - 1):
-            x[i + 1] = 2.0 * x[i] * x[i]
+        with np.errstate(over="ignore"):
+            for i in range(dim - 1):
+                x[i + 1] = 2.0 * x[i] * x[i]
         return x
     x[0] = -1.0
     for i in range(dim - 1):
@@ -213,12 +216,8 @@ def sphere_objective(dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec
     return ObjectiveSpec(
         name="sphere",
         dim=dim,
-        batch_evaluator=lambda X: VALUE["sphere"](
-            np.ascontiguousarray(X, dtype=np.float64)
-        ),
-        batch_gradient=lambda X: GRAD["sphere"](
-            np.ascontiguousarray(X, dtype=np.float64)
-        ),
+        batch_evaluator=lambda X: VALUE["sphere"](_as_batch("sphere", X)),
+        batch_gradient=lambda X: GRAD["sphere"](_as_batch("sphere", X)),
         domain=bounds,
         known_optima=known,
     )

@@ -93,10 +93,78 @@ class TestHelpers:
         assert np.array_equal(out.best_point, [3.0, 3.0])  # first strict winner
         assert out.improvement_count == 2
 
+    def test_evaluate_clamps_sentinels_folds_and_counts(self):
+        seen = []
+        raw = np.array([9.0, np.nan, 4.0, -np.inf, 4.0])
+
+        def table(X):
+            seen.append(X.copy())
+            return raw.copy()
+
+        state = _fresh_state("gwo", sphere_objective(2))
+        state.objective = ObjectiveSpec(
+            name="table",
+            dim=2,
+            batch_evaluator=table,
+            batch_gradient=lambda X: np.zeros_like(X),
+            domain=Bounds.cube(-1.0, 1.0, 2),
+        )
+        state.tracker = make_tracker(np.zeros(2), 10.0, gen=0)
+        state.generation, state.evaluations = 7, 100
+        population = state.population
+        X = np.array([[5.0, 0.0], [-3.0, 0.9], [0.3, -7.0], [0.2, 0.0], [0.5, 0.0]])
+        clamped = np.array([[1.0, 0.0], [-1.0, 0.9], [0.3, -1.0], [0.2, 0.0], [0.5, 0.0]])
+
+        got_X, got_vals = algos.evaluate(state, X)
+
+        assert np.array_equal(got_X, clamped)
+        assert len(seen) == 1 and np.array_equal(seen[0], clamped)
+        assert np.array_equal(got_vals, [9.0, np.inf, 4.0, np.inf, 4.0])
+        # Rows fold in order: 9 then 4 improve, the second 4 ties.
+        assert state.tracker.best_value == 4.0
+        assert np.array_equal(state.tracker.best_point, [0.3, -1.0])
+        assert state.tracker.improvement_count == 2
+        assert state.tracker.last_improvement_gen == 8
+        assert state.evaluations == 105
+        assert state.generation == 7 and state.population is population
+
     def test_schedule_fraction_clips(self):
         assert algos.schedule_fraction(0, 100) == 0.0
         assert algos.schedule_fraction(50, 100) == 0.5
         assert algos.schedule_fraction(250, 100) == 1.0
+
+
+def _generator(seed, half_used):
+    gen = np.random.Generator(np.random.PCG64(seed))
+    if half_used:
+        gen.integers(0, 7)  # a 32-bit draw keeps the other half of 64 bits
+        assert gen.bit_generator.state["has_uint32"] == 1
+    return gen
+
+
+@pytest.mark.parametrize("half_used", (False, True))
+@pytest.mark.parametrize("n", (2, 3, 7, 54, 1000))
+class TestDrawEquivalences:
+    """The step bodies replace some Generator calls by calls shown here to
+    return the same numbers and leave the same generator state."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 10))
+    def test_scalar_draws_equal_one_sized_draw(self, n, half_used, k):
+        a, b = _generator(n, half_used), _generator(n, half_used)
+        scalars = [a.integers(0, n) for _ in range(k)]
+        sized = b.integers(0, n, size=k)
+        assert scalars == sized.tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
+
+    def test_broadcast_draw_equals_scalar_draw_per_high(self, n, half_used):
+        highs = np.arange(n, max(1, n - 25), -1)
+        a, b = _generator(n + 1, half_used), _generator(n + 1, half_used)
+        scalars = [a.integers(0, h) for h in highs]
+        broadcast = b.integers(0, highs)
+        assert scalars == broadcast.tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
 
 
 @pytest.mark.parametrize("algorithm", algos.ALGORITHMS)

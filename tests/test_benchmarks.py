@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,22 @@ class TestOptima:
         assert opt[0] == 1.0
         for i in range(4):
             assert opt[i + 1] == 2.0 * opt[i] ** 2
+
+    def test_zhou1_dim11_is_the_last_finite_optimum(self):
+        # x[i] = 2**(2**i - 1) exactly, up to 2**1023 at index 10.
+        expected = [np.ldexp(1.0, 2**i - 1) for i in range(11)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = benchmarks.optimum("zhou1", 11)
+        assert np.array_equal(opt, expected)
+
+    def test_zhou1_past_float_range_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = benchmarks.optimum("zhou1", 12)
+            obj = benchmarks.objective("zhou1", 12)
+        assert opt[10] == 2.0**1023 and opt[11] == np.inf
+        assert obj.known_optima == ()
 
     @pytest.mark.parametrize("name", ("zhou2", "zhou3"))
     @pytest.mark.parametrize("branch", benchmarks.BRANCHES)
@@ -148,3 +166,11 @@ class TestObjectiveFactory:
         assert obj.value(np.ones(3)) == 3.0
         assert np.array_equal(obj.grad(np.ones(3)), 2.0 * np.ones(3))
         assert len(obj.known_optima) == 1
+
+    @pytest.mark.parametrize("method", ("batch_evaluator", "batch_gradient"))
+    def test_sphere_batches_validated_like_zhou(self, method):
+        call = getattr(benchmarks.sphere_objective(3), method)
+        with pytest.raises(ValueError, match="non-finite"):
+            call(np.array([[np.nan, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="2-D batch"):
+            call(np.zeros(3))

@@ -16,6 +16,7 @@ from stagbench.cli import CliConfig, main, parse_config, read_config_file
 from stagbench.harness import ExperimentConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FAST_CELL = [
     "--functions", "zhou1", "--algorithms", "gwo", "--T", "50", "--runs", "2",
@@ -269,6 +270,15 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS") for line in lines)
 
 
+def _child_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so
+    a child interpreter imports the code under test without an install."""
+    env = dict(os.environ)
+    paths = [str(SRC), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
 def _console_script(entry: importlib.metadata.EntryPoint,
                     argv: Sequence[str]):
     """Run the wrapper a console-script installer generates for ``entry``."""
@@ -282,6 +292,7 @@ def _console_script(entry: importlib.metadata.EntryPoint,
         [sys.executable, "-c", wrapper, *argv],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
 
 
@@ -327,6 +338,7 @@ class TestEntryPoint:
              "--point", "1,2,8"],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert proc.returncode == 0
         assert "value: 0" in proc.stdout
