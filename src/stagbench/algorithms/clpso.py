@@ -83,10 +83,9 @@ def step(state: AlgoState) -> AlgoState:
 
     exemplar, pbest, pbest_vals = mem["exemplar"], mem["pbest"], mem["pbest_vals"]
     stale = (mem["flags"] >= gap).nonzero()[0]
-    if stale.size:
-        for i in stale.tolist():
-            _assign_exemplar(exemplar[i], i, n, dim, mem["pc"][i], pbest_vals, gen)
-        mem["flags"][stale] = 0
+    for i in stale.tolist():
+        _assign_exemplar(exemplar[i], i, n, dim, mem["pc"][i], pbest_vals, gen)
+    mem["flags"][stale] = 0
 
     target = pbest[exemplar, np.arange(dim)]
     r = gen.random((n, dim))

@@ -46,13 +46,9 @@ def step(state: AlgoState) -> AlgoState:
     a = 2.0 * (1.0 - schedule_fraction(state.generation, state.params.schedule_horizon))
 
     r = gen.random((3, 2, n, dim))
+    leaders = [state.memory[k][0] for k in ("alpha", "beta", "delta")]
     best = state.tracker.best_point
-    P = np.array(
-        [
-            best if point is None else point
-            for point, _ in (state.memory[k] for k in ("alpha", "beta", "delta"))
-        ]
-    )[:, None, :]
+    P = np.array([best if p is None else p for p in leaders])[:, None, :]
     # The three leader pulls as one (3, n, dim) array, added onto zeros in
     # leader order so the sum (signed zeros included) matches a running total.
     pulls = P - (2.0 * a * r[:, 0] - a) * np.abs(2.0 * r[:, 1] * P - X)

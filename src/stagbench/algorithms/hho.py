@@ -48,7 +48,7 @@ def step(state: AlgoState) -> AlgoState:
     beta = state.params.get("levy_beta")
     scale = state.params.get("levy_scale")
     rabbit = state.tracker.best_point
-    mean = np.add.reduce(X, axis=0) / n
+    mean = np.add.reduce(X, axis=0) / n  # X.mean(axis=0) without its Python layer
     e1 = 2.0 * (1.0 - schedule_fraction(state.generation, state.params.schedule_horizon))
 
     # One fixed block of draws per generation keeps the stream layout
@@ -72,7 +72,8 @@ def step(state: AlgoState) -> AlgoState:
     # the other hawks dive.
     uncond = explore | (r >= 0.5)
 
-    # Every branch formula on all rows, picked per row.
+    # Every branch formula on all rows, picked per row; per-hawk scalars
+    # become columns.
     E = E[:, None]
     ra = ra[:, None]
     rb = rb[:, None]
@@ -106,9 +107,8 @@ def step(state: AlgoState) -> AlgoState:
 
         zidx = idx[~accept]
         if zidx.size:
-            levy = scale * _levy_sigma(beta) * levy_u[zidx] / np.abs(levy_v[zidx]) ** (
-                1.0 / beta
-            )
+            sigma = _levy_sigma(beta)
+            levy = scale * sigma * levy_u[zidx] / np.abs(levy_v[zidx]) ** (1.0 / beta)
             Zc, zvals = evaluate(state, Y[zidx] + dive_rand[zidx] * levy)
             accept = zvals < vals[zidx]
             new_X[zidx[accept]] = Zc[accept]

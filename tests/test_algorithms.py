@@ -113,7 +113,9 @@ class TestHelpers:
         state.generation, state.evaluations = 7, 100
         population = state.population
         X = np.array([[5.0, 0.0], [-3.0, 0.9], [0.3, -7.0], [0.2, 0.0], [0.5, 0.0]])
-        clamped = np.array([[1.0, 0.0], [-1.0, 0.9], [0.3, -1.0], [0.2, 0.0], [0.5, 0.0]])
+        clamped = np.array(
+            [[1.0, 0.0], [-1.0, 0.9], [0.3, -1.0], [0.2, 0.0], [0.5, 0.0]]
+        )
 
         got_X, got_vals = algos.evaluate(state, X)
 
