@@ -85,7 +85,8 @@ class Bounds:
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         """Clip a point or an (n, dim) population into the box."""
-        return np.clip(x, self.lo, self.hi)
+        # The method skips np.clip's Python dispatch layers; same ufunc.
+        return np.asarray(x).clip(self.lo, self.hi)
 
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
