@@ -136,11 +136,13 @@ def step(state: AlgoState) -> AlgoState:
     if m > limit:
         # One broadcast draw over the shrinking row counts m, m-1, ...,
         # limit+1 returns the same numbers, and leaves the generator in the
-        # same state, as one scalar draw per evicted row.
+        # same state, as one scalar draw per evicted row.  A keep mask drops
+        # the evicted rows and leaves the survivors in archive order.
         rows = list(range(m))
-        for pick in gen.integers(0, np.arange(m, limit, -1)).tolist():
-            del rows[pick]
-        archive = archive[rows]
+        picks = gen.integers(0, np.arange(m, limit, -1)).tolist()
+        keep = np.ones(m, dtype=bool)
+        keep[[rows.pop(pick) for pick in picks]] = False
+        archive = archive[keep]
     mem["archive"] = archive
 
     return advance(state, X, vals)

@@ -147,9 +147,10 @@ def parse_config(
                 raise ValueError(f"{key} must be a {conv.__name__}, got {raw[key]!r}")
     if "bounds" in raw:
         parts = _parse_list(raw["bounds"])
-        if len(parts) != 2:
-            raise ValueError(f"bounds must be 'lo,hi', got {raw['bounds']!r}")
-        kwargs["bounds_lo"], kwargs["bounds_hi"] = float(parts[0]), float(parts[1])
+        try:
+            kwargs["bounds_lo"], kwargs["bounds_hi"] = (float(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"bounds must be 'lo,hi' numbers, got {raw['bounds']!r}")
     if "curves" in raw:
         val = raw["curves"]
         kwargs["capture_curves"] = (

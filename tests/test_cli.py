@@ -254,6 +254,12 @@ class TestRunAndExperimentCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("bounds", ("a,b", "1", "1,2,3"))
+    def test_bad_bounds_exits_2_and_names_key(self, capsys, bounds):
+        assert main(["experiment", "--bounds", bounds]) == 2
+        err = capsys.readouterr().err
+        assert f"bounds must be 'lo,hi' numbers, got '{bounds}'" in err
+
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["run", "--function", "zhou1", "--algorithm", "gwo",
                      "--T", "50", "--out", "/dev/null/x"])

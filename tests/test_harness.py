@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import os
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from stagbench.core import derive_stream
 from stagbench.harness import (
     TERMINATION_CAP,
     TERMINATION_STAGNATION,
+    Curve,
     ExperimentConfig,
     curve_filename,
     format_float,
@@ -120,6 +123,82 @@ class TestRunUntilStagnation:
         assert curve == ()
 
 
+def _stepped_by_hand(state, T, max_generations):
+    """Reference curve: step `state` under the harness's exit rule and read
+    ``tracker.best_value`` after every step."""
+    pairs = [(state.generation, state.tracker.best_value)]
+    while (
+        state.generation - state.tracker.last_improvement_gen < T
+        and state.generation < max_generations
+    ):
+        state = algos.step(state)
+        pairs.append((state.generation, state.tracker.best_value))
+    return pairs
+
+
+class TestCurve:
+    @staticmethod
+    def _state(algorithm, horizon):
+        obj = objective("zhou1", 3)
+        params = algos.default_params(algorithm, 3, schedule_horizon=horizon)
+        return algos.init(algorithm, params, obj, derive_stream(5, ["curve-test"]))
+
+    @pytest.mark.parametrize("algorithm", algos.ALGORITHMS)
+    @pytest.mark.parametrize(
+        "T,max_generations,termination",
+        ((20, 20000, TERMINATION_STAGNATION), (1000, 120, TERMINATION_CAP)),
+        ids=("stagnation", "cap"),
+    )
+    def test_curve_matches_per_generation_reference(
+        self, algorithm, T, max_generations, termination
+    ):
+        expected = _stepped_by_hand(
+            self._state(algorithm, max_generations), T, max_generations
+        )
+        state, got_termination, curve = run_until_stagnation(
+            self._state(algorithm, max_generations), T, max_generations,
+            capture=True,
+        )
+        assert got_termination == termination
+        assert isinstance(curve, Curve) and curve
+        # Same generations and the same bits in every value.
+        assert [(g, v.hex()) for g, v in curve] == [
+            (g, v.hex()) for g, v in expected
+        ]
+        n = len(curve)
+        assert n == state.generation + 1
+        assert [curve[i] for i in range(n)] == expected
+        assert [curve[i] for i in range(-n, 0)] == expected
+        assert curve[-1][1] == state.tracker.best_value
+
+    def test_index_past_either_end_raises(self):
+        _, _, curve = run_until_stagnation(
+            self._state("gwo", 20000), 20, 20000, capture=True
+        )
+        n = len(curve)
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                curve[i]
+
+    def test_pickle_keeps_only_the_change_points(self):
+        state, termination, curve = run_until_stagnation(
+            self._state("gwo", 1000), 1000, 1000, capture=True
+        )
+        assert termination == TERMINATION_CAP and len(curve) == 1001
+        data = pickle.dumps(curve)
+        assert len(data) < 1024
+        restored = pickle.loads(data)
+        assert restored == curve
+        assert list(restored) == list(curve)
+        assert restored[-1][1] == state.tracker.best_value
+
+    def test_run_single_curve_has_one_pair_per_generation(self):
+        rec = run_single("zhou2", "lshade", 30, 0, _small_cfg(capture_curves=True))
+        assert len(rec.curve) == rec.generations + 1
+        assert rec.curve[-1] == (rec.generations, rec.best_value)
+        assert run_single("zhou2", "lshade", 30, 0, _small_cfg()).curve == ()
+
+
 class TestRunSingle:
     def test_record_fields_and_determinism(self):
         cfg = _small_cfg()
@@ -171,6 +250,23 @@ class TestRunExperiment:
             assert a.generations == b.generations
             assert np.array_equal(a.best_point, b.best_point)
         assert serial_summary == parallel_summary
+
+    def test_workers_do_not_change_curve_files(self, tmp_path):
+        cfg = _small_cfg(
+            functions=("zhou1",), algorithms=algos.ALGORITHMS, T_values=(30,),
+            capture_curves=True,
+        )
+        files = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            out.mkdir()
+            records, _ = run_experiment(cfg, workers=workers)
+            files[workers] = {
+                os.path.basename(p): Path(p).read_bytes()
+                for p in write_curves(records, str(out))
+            }
+        assert len(files[1]) == len(cfg.algorithms)
+        assert files[1] == files[2]
 
     def test_pool_never_wider_than_task_list(self, monkeypatch):
         requested = []
