@@ -107,8 +107,10 @@ class AlgoState:
     gen_rng: np.random.Generator
 
 
+@functools.cache
 def defaults_table() -> Mapping[str, float]:
-    """The shipped defaults table as a flat {dotted key: value} mapping."""
+    """The shipped defaults table as a flat, read-only {dotted key: value}
+    mapping, parsed once per process."""
     text = (
         resources.files("stagbench").joinpath("data/algorithm_defaults.txt")
     ).read_text(encoding="utf-8")
@@ -121,7 +123,7 @@ def defaults_table() -> Mapping[str, float]:
             raise ValueError(f"defaults table line {lineno} is not key = value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         table[key] = float(val)
-    return table
+    return MappingProxyType(table)
 
 
 def default_params(

@@ -9,7 +9,7 @@ experiment  execute the full grid from config file / flags
 verify      run the exact-dynamics and gradient self-checks
 
 Exit codes: 0 success, 1 verification checks failed, 2 usage or validation
-error, 3 I/O error.
+error, 3 I/O error, 130 interrupted (Ctrl-C).
 
 Experiment configuration is a flat ``key = value`` file (lists
 comma-separated); command-line flags override file values.  Recognized
@@ -402,6 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

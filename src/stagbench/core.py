@@ -63,6 +63,10 @@ class Bounds:
             raise ValueError("bounds must be finite")
         if not np.all(lo < hi):
             raise ValueError("each lower bound must be strictly below its upper bound")
+        with np.errstate(over="ignore"):
+            finite_span = np.isfinite(hi - lo).all()
+        if not finite_span:
+            raise ValueError("bounds must have a finite width hi - lo in float64")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lo", lo)

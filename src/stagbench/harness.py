@@ -18,6 +18,12 @@ memory and 13 pickled bytes per improvement, whatever the number of
 generations, so pool results and the parent's memory grow with the number
 of improvements, not of generations.
 
+Only a grid run on more than one worker imports the process-pool stack
+(``concurrent.futures``, ``multiprocessing`` and what they load), when its
+pool starts; importing this module or running a grid on one worker never
+loads it.  Pool workers ignore Ctrl-C: on an interrupt or a failed run the
+parent stops them, so no queued run starts, and re-raises.
+
 CSV output renders every float with 17 significant digits, which
 round-trips binary64 exactly.
 """
@@ -28,7 +34,6 @@ import operator
 import os
 from bisect import bisect_right
 from collections import abc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -93,8 +98,7 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
-        if not self.bounds_lo < self.bounds_hi:
-            raise ValueError("bounds_lo must be < bounds_hi")
+        self.domain()  # validates the box before any run or pool starts
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
         for t in self.T_values:
@@ -277,6 +281,14 @@ def _run_task(args):
     return run_single(function, algorithm, T, run, cfg)
 
 
+def _ignore_sigint():
+    # Pool worker initializer: a terminal's Ctrl-C reaches the whole process
+    # group, and the parent alone answers it, by stopping the pool.
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     workers: int = 1,
@@ -300,12 +312,32 @@ def run_experiment(
                 progress(rec)
             records.append(rec)
     else:
+        # The pool stack (concurrent.futures, multiprocessing, socket,
+        # logging, ...) is imported only here, so one-worker runs never
+        # load it.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import active_children
+
+        others = set(active_children())
         records = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(_run_task, tasks, chunksize=1):
-                if progress is not None:
-                    progress(rec)
-                records.append(rec)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_ignore_sigint
+        ) as pool:
+            futures = [pool.submit(_run_task, task) for task in tasks]
+            try:
+                for future in futures:
+                    rec = future.result()
+                    if progress is not None:
+                        progress(rec)
+                    records.append(rec)
+            except BaseException:
+                # On Ctrl-C or a failed run, stop the workers rather than
+                # wait for their runs.  That breaks the pool, which then
+                # fails every queued run instead of starting it (cancelling
+                # them as well would race the pool's own clean-up).
+                for proc in set(active_children()) - others:
+                    proc.terminate()
+                raise
     key = {
         (f, a, t): i
         for i, (f, a, t) in enumerate(

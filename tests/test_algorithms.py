@@ -46,6 +46,12 @@ class TestParamSet:
         for algorithm in algos.ALGORITHMS:
             assert any(k.startswith(algorithm + ".") for k in table)
 
+    def test_defaults_table_parsed_once_and_read_only(self):
+        table = algos.defaults_table()
+        assert algos.defaults_table() is table
+        with pytest.raises(TypeError):
+            table["gwo.pop_size"] = 1.0
+
     def test_published_defaults_spot_checks(self):
         table = algos.defaults_table()
         assert table["gl25.pop_size"] == 60.0

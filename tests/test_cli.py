@@ -5,13 +5,16 @@ from __future__ import annotations
 import importlib.metadata
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Sequence
 
 import pytest
 
+from stagbench import harness
 from stagbench.cli import CliConfig, main, parse_config, read_config_file
 from stagbench.harness import ExperimentConfig
 
@@ -260,6 +263,21 @@ class TestRunAndExperimentCommands:
         err = capsys.readouterr().err
         assert f"bounds must be 'lo,hi' numbers, got '{bounds}'" in err
 
+    def test_box_wider_than_float64_exits_2_and_names_key(self, capsys):
+        code = main(["run", "--function", "zhou1", "--algorithm", "gwo",
+                     "--T", "5", "--runs", "4", "--workers", "2",
+                     "--bounds=-1e308,1e308"])
+        assert code == 2
+        assert "error: bounds must have a finite width" in capsys.readouterr().err
+
+    def test_interrupt_exits_130(self, monkeypatch, tmp_path, capsys):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "run_experiment", interrupted)
+        assert main(["experiment", *FAST_CELL, "--out", str(tmp_path)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["run", "--function", "zhou1", "--algorithm", "gwo",
                      "--T", "50", "--out", "/dev/null/x"])
@@ -353,3 +371,109 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+POOL_STACK = ("concurrent.futures", "multiprocessing", "socket", "logging",
+              "queue")
+
+
+def _loaded_after(script: str) -> list:
+    """Run ``script`` in a fresh interpreter and return which POOL_STACK
+    modules it left in ``sys.modules``."""
+    probe = (
+        f"{script}\n"
+        "import sys\n"
+        f"print(*(m for m in {POOL_STACK!r} if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestProcessPoolStack:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_loaded_only_when_a_pool_starts(self, workers):
+        script = (
+            "import stagbench\n"
+            "cfg = stagbench.ExperimentConfig(functions=('zhou1',), "
+            "algorithms=('gwo',), T_values=(5,), runs=2, max_generations=50)\n"
+            f"stagbench.run_experiment(cfg, workers={workers})\n"
+        )
+        loaded = _loaded_after(script)
+        if workers == 1:
+            assert loaded == []
+        else:
+            assert {"concurrent.futures", "multiprocessing"} <= set(loaded)
+
+    def test_not_loaded_by_one_worker_commands(self, tmp_path):
+        commands = [
+            ["nominal", "--alpha", "0.5", "--steps", "3"],
+            ["bench", "zhou1", "--point", "1,2,8"],
+            ["verify"],
+            ["run", "--function", "zhou1", "--algorithm", "gwo", "--T", "5",
+             "--runs", "2", "--workers", "1", "--out", str(tmp_path)],
+        ]
+        script = (
+            "import contextlib, io\n"
+            "from stagbench.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert [main(argv) for argv in {commands!r}] == [0, 0, 0, 0]\n"
+        )
+        assert _loaded_after(script) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+class TestInterrupt:
+    @pytest.mark.parametrize("target", ["parent", "group"])
+    def test_ctrl_c_ends_a_pooled_run_cleanly(self, tmp_path, target):
+        """SIGINT to the parent alone, or to its whole process group as a
+        terminal's Ctrl-C sends it, 2 s after the imports ends a 2-worker
+        run with exit 130, the one line ``interrupted`` on stderr, and no
+        process of the run left.  The usable CPU count is pinned to 2 so the
+        run is pooled on any host."""
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from stagbench.cli import main\n"
+            "print('imported', flush=True)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["run", "--function", "zhou1", "--algorithm", "hho",
+                "--T", "1000", "--runs", "400", "--workers", "2",
+                "--out", str(tmp_path)]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_child_env(),
+            start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline() == "imported\n"
+            time.sleep(2.0)
+            if target == "group":
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert err.splitlines() == ["interrupted"]
+        assert not (tmp_path / "records.csv").exists()
+        deadline = time.monotonic() + 10.0
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a pool worker outlived the run"
+            time.sleep(0.05)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestBounds:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             Bounds(np.array([1.0]), np.array([0.0]))
+
+    def test_rejects_box_wider_than_float64_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bounds must have a finite width"):
+                Bounds(np.array([-1.0, -1e308]), np.array([1.0, 1e308]))
+            assert np.all(np.isfinite(Bounds.cube(-8e307, 8e307, 2).span))
 
     def test_bounds_arrays_read_only(self):
         b = Bounds.cube(0.0, 1.0, 2)

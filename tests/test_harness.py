@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
+import multiprocessing
 import os
 import pickle
 from pathlib import Path
@@ -73,6 +75,10 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    def test_box_wider_than_float64_rejected_up_front(self):
+        with pytest.raises(ValueError, match="bounds must have a finite width"):
+            ExperimentConfig(bounds_lo=-1e308, bounds_hi=1e308)
 
 
 class TestRunUntilStagnation:
@@ -272,7 +278,7 @@ class TestRunExperiment:
         requested = []
 
         class InProcessPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 requested.append(max_workers)
 
             def __enter__(self):
@@ -281,14 +287,25 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = _small_cfg(functions=("zhou1",), algorithms=("gwo",))
         records, _ = run_experiment(cfg, workers=10**6)
         assert requested == [2]
         assert len(records) == 2
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+    def test_stopped_pool_leaves_no_worker(self, error):
+        def stop(rec):
+            raise error("stop")
+
+        with pytest.raises(error):
+            run_experiment(_small_cfg(runs=10), workers=2, progress=stop)
+        assert multiprocessing.active_children() == []
 
     def test_summary_aggregates_runs(self):
         cfg = _small_cfg()
