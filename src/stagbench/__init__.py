@@ -24,10 +24,7 @@ from .core import (
     ObjectiveSpec,
     RngStream,
     as_point,
-    clamp,
     derive_stream,
-    make_tracker,
-    update_best,
 )
 from .benchmarks import (
     BRANCHES,
@@ -94,7 +91,6 @@ __all__ = [
     "RunRecord",
     "SummaryRow",
     "as_point",
-    "clamp",
     "default_bounds",
     "default_params",
     "defaults_table",
@@ -115,7 +111,6 @@ __all__ = [
     "sphere_objective",
     "stagnant_step",
     "summarize",
-    "update_best",
     "value",
     "value_batch",
     "write_curves",

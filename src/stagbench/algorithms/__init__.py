@@ -8,14 +8,15 @@ Every algorithm is driven the same way::
         state = step(state)
     point, value = best(state)
 
-``step`` runs one full generation: candidate generation, clamping to the
-search box, batch evaluation, selection, adaptive-memory update, and
+``step`` runs one full generation in place: candidate generation, clamping
+to the search box, batch evaluation, selection, adaptive-memory update, and
 best-so-far tracking.  Uniform rules shared by all six implementations:
 
 * candidates go through ``evaluate``, which clamps them to the objective's
   box, evaluates them, turns non-finite values into +inf sentinels (never
   selected), folds them into the best-so-far tracker in row order and counts
-  them; ``advance`` then records the new population and generation;
+  them; each body returns the new population and its values, and ``step``
+  stores them and counts the generation;
 * ties in selection keep the incumbent (strict improvement only), matching
   the strict best-so-far tracker;
 * time-decaying coefficients and population schedules are denominated in
@@ -37,13 +38,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from ..core import (
-    BestTracker,
-    ObjectiveSpec,
-    RngStream,
-    make_tracker,
-    update_best,
-)
+from ..core import BestTracker, ObjectiveSpec, RngStream
 
 __all__ = [
     "ALGORITHMS",
@@ -103,7 +98,6 @@ class AlgoState:
     tracker: BestTracker
     generation: int
     evaluations: int
-    rng: RngStream
     gen_rng: np.random.Generator
 
 
@@ -177,16 +171,6 @@ def sentinel_values(raw: np.ndarray) -> np.ndarray:
     return np.where(finite, raw, np.inf)
 
 
-def track_batch(
-    tracker: BestTracker, X: np.ndarray, vals: np.ndarray, gen: int
-) -> BestTracker:
-    """Fold a batch of evaluated candidates through update_best in order."""
-    for i in (vals < tracker.best_value).nonzero()[0]:
-        if vals[i] < tracker.best_value:
-            tracker = update_best(tracker, X[i], float(vals[i]), gen)
-    return tracker
-
-
 def schedule_fraction(generation: int, horizon: int) -> float:
     """Elapsed fraction of the coefficient schedule, clipped to [0, 1]."""
     return min(1.0, max(0.0, generation / horizon))
@@ -212,7 +196,6 @@ def init(
     if not np.isfinite(vals).any():
         raise ValueError("every initial sample evaluated non-finite")
     seed_idx = int(np.argmin(vals))
-    tracker = make_tracker(X[seed_idx], float(vals[seed_idx]), gen=0)
     state = AlgoState(
         algorithm=algorithm,
         params=params,
@@ -220,10 +203,9 @@ def init(
         population=X,
         values=vals,
         memory={},
-        tracker=tracker,
+        tracker=BestTracker(X[seed_idx], vals[seed_idx]),
         generation=0,
         evaluations=n,
-        rng=rng,
         gen_rng=gen_rng,
     )
     state.memory = _module(algorithm).init_memory(state)
@@ -231,8 +213,11 @@ def init(
 
 
 def step(state: AlgoState) -> AlgoState:
-    """Advance one generation of the state's algorithm."""
-    return _module(state.algorithm).step(state)
+    """Advance the state one generation in place and return it: the body
+    returns the new population and values, stored here with the count."""
+    state.population, state.values = _module(state.algorithm).step(state)
+    state.generation += 1
+    return state
 
 
 def best(state: AlgoState) -> Tuple[np.ndarray, float]:
@@ -248,15 +233,7 @@ def evaluate(state: AlgoState, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Returns the clamped candidates and their values."""
     X = state.objective.domain.clip(X)
     vals = sentinel_values(state.objective.value_batch(X))
-    state.tracker = track_batch(state.tracker, X, vals, state.generation + 1)
+    state.tracker.fold(X, vals, state.generation + 1)
     state.evaluations += X.shape[0]
     return X, vals
 
-
-def advance(state: AlgoState, population, values) -> AlgoState:
-    """Shared bookkeeping tail for step implementations: record the new
-    generation in `state` and return it."""
-    state.population = population
-    state.values = values
-    state.generation += 1
-    return state

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, evaluate, schedule_fraction
+from . import AlgoState, evaluate, schedule_fraction
 
 
 def _pc_vector(n: int) -> np.ndarray:
@@ -67,7 +67,7 @@ def init_memory(state: AlgoState) -> dict:
     return memory
 
 
-def step(state: AlgoState) -> AlgoState:
+def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     n, dim = X.shape
     gen = state.gen_rng
@@ -97,4 +97,4 @@ def step(state: AlgoState) -> AlgoState:
     np.copyto(pbest, moved, where=improved[:, None])
     np.copyto(pbest_vals, vals, where=improved)
     mem["flags"] = np.where(improved, 0, mem["flags"] + 1)
-    return advance(state, moved, vals)
+    return moved, vals

@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, evaluate
+from . import AlgoState, evaluate
 
 
 def init_memory(state: AlgoState) -> dict:
     return {}
 
 
-def step(state: AlgoState) -> AlgoState:
+def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     vals = state.values
     n, dim = X.shape
@@ -64,4 +64,4 @@ def step(state: AlgoState) -> AlgoState:
     combined = np.concatenate([X, children], axis=0)
     combined_vals = np.concatenate([vals, cvals])
     keep = combined_vals.argsort(kind="stable")[:n]
-    return advance(state, combined[keep], combined_vals[keep])
+    return combined[keep], combined_vals[keep]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, evaluate, schedule_fraction
+from . import AlgoState, evaluate, schedule_fraction
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -39,7 +39,7 @@ def _update_leaders(memory: dict, X: np.ndarray, vals: np.ndarray) -> None:
             memory["delta"] = (X[i].copy(), v)
 
 
-def step(state: AlgoState) -> AlgoState:
+def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     n, dim = X.shape
     gen = state.gen_rng
@@ -60,4 +60,4 @@ def step(state: AlgoState) -> AlgoState:
 
     moved, vals = evaluate(state, moved)
     _update_leaders(state.memory, moved, vals)
-    return advance(state, moved, vals)
+    return moved, vals

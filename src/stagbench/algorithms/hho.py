@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from . import AlgoState, advance, evaluate, schedule_fraction
+from . import AlgoState, evaluate, schedule_fraction
 
 _LEVY_BETA_SIGMA_CACHE = {}
 
@@ -38,7 +38,7 @@ def init_memory(state: AlgoState) -> dict:
     return {}
 
 
-def step(state: AlgoState) -> AlgoState:
+def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     vals = state.values
     n, dim = X.shape
@@ -114,4 +114,4 @@ def step(state: AlgoState) -> AlgoState:
             new_X[zidx[accept]] = Zc[accept]
             new_vals[zidx[accept]] = zvals[accept]
 
-    return advance(state, new_X, new_vals)
+    return new_X, new_vals

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, evaluate
+from . import AlgoState, evaluate
 
 
 def _round_half_up(x: float) -> int:
@@ -43,7 +43,7 @@ def init_memory(state: AlgoState) -> dict:
     }
 
 
-def step(state: AlgoState) -> AlgoState:
+def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     vals = state.values
     n, dim = X.shape
@@ -145,4 +145,4 @@ def step(state: AlgoState) -> AlgoState:
         archive = archive[keep]
     mem["archive"] = archive
 
-    return advance(state, X, vals)
+    return X, vals

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, advance, evaluate, schedule_fraction
+from . import AlgoState, evaluate, schedule_fraction
 
 
 def init_memory(state: AlgoState) -> dict:
     return {}
 
 
-def step(state: AlgoState) -> AlgoState:
+def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     n, dim = X.shape
     gen = state.gen_rng
@@ -51,4 +51,4 @@ def step(state: AlgoState) -> AlgoState:
 
     hunt = np.where((np.abs(A) < 1.0), encircle, explore)
     moved, vals = evaluate(state, np.where((p < 0.5)[:, None], hunt, spiral))
-    return advance(state, moved, vals)
+    return moved, vals

@@ -3,7 +3,8 @@
 Search points are plain 1-D float64 numpy arrays throughout the package;
 populations are (n, dim) arrays.  This module provides the box-bounds type,
 the objective-function container, deterministic labelled RNG streams, and
-the monotone best-so-far tracker that every optimizer shares.
+the monotone best-so-far tracker that every optimizer shares; a run folds
+each evaluated batch into its tracker in place.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ __all__ = [
     "RngStream",
     "BestTracker",
     "as_point",
-    "clamp",
     "derive_stream",
-    "make_tracker",
-    "update_best",
 ]
 
 
@@ -97,16 +95,6 @@ class Bounds:
 
     def interior_contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x > self.lo) and np.all(x < self.hi))
-
-
-def clamp(p: np.ndarray, bounds: Bounds) -> np.ndarray:
-    """Project `p` onto the box coordinate-wise (idempotent)."""
-    p = as_point(p)
-    if p.size != bounds.dim:
-        raise ValueError(
-            f"point dimension {p.size} does not match bounds dimension {bounds.dim}"
-        )
-    return bounds.clip(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +195,15 @@ def derive_stream(base_seed: int, labels: Sequence = ()) -> RngStream:
     return RngStream(int(base_seed), tuple(labels))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class BestTracker:
-    """Best-so-far solution under strict-improvement acceptance.
+    """Best-so-far solution under strict-improvement acceptance, updated in
+    place by `fold`.
 
     `best_value` is non-increasing over the tracker's lifetime; an equal
     value never replaces the incumbent, so plateaus count as stagnation.
+    Each new best point is a fresh copy that is never written into, so a
+    `best_point` read before a `fold` keeps its values.
     """
 
     best_point: np.ndarray
@@ -220,32 +211,22 @@ class BestTracker:
     last_improvement_gen: int = 0
     improvement_count: int = 0
 
+    def __post_init__(self):
+        if not np.isfinite(self.best_value):
+            raise ValueError("tracker must be seeded with a finite value")
+        self.best_point = as_point(self.best_point).copy()
+        self.best_value = float(self.best_value)
 
-def make_tracker(point: np.ndarray, value: float, gen: int = 0) -> BestTracker:
-    """Seed a tracker with an initial best (e.g. the best of a fresh population)."""
-    if not np.isfinite(value):
-        raise ValueError("tracker must be seeded with a finite value")
-    if gen < 0:
-        raise ValueError("generation must be >= 0")
-    return BestTracker(as_point(point).copy(), float(value), int(gen), 0)
+    def fold(self, X: np.ndarray, vals: np.ndarray, gen: int) -> None:
+        """Offer the rows of `X` with their values `vals` in row order.
 
-
-def update_best(
-    tracker: BestTracker, candidate: np.ndarray, value: float, gen: int
-) -> BestTracker:
-    """Return the tracker after offering one evaluated candidate.
-
-    Only a strictly smaller value replaces the incumbent; ties and worse
-    candidates leave the tracker (and hence any stagnation counter) untouched.
-    Non-finite values are rejected with an error and are never stored.
-    """
-    if not np.isfinite(value):
-        raise ValueError("cannot offer a non-finite value to the best tracker")
-    if value < tracker.best_value:
-        return BestTracker(
-            np.array(candidate, dtype=np.float64, copy=True),
-            float(value),
-            int(gen),
-            tracker.improvement_count + 1,
-        )
-    return tracker
+        Only a strictly smaller value replaces the incumbent and stamps
+        `gen`; ties and worse rows leave the tracker untouched, and so does a
+        NaN or +inf value.
+        """
+        for i in (vals < self.best_value).nonzero()[0]:
+            if vals[i] < self.best_value:
+                self.best_point = X[i].copy()
+                self.best_value = float(vals[i])
+                self.last_improvement_gen = gen
+                self.improvement_count += 1

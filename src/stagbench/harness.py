@@ -7,8 +7,8 @@ experiment executes the (function x algorithm x T x run) grid — each run on
 its own deterministic RNG substream — collects per-run records including
 the analytic gradient norm at the terminal best point, and aggregates them
 into per-cell summary rows.  Results are identical regardless of worker
-count or execution order: tasks are keyed, outputs are sorted by key, and
-no RNG state leaks across runs.
+count or execution order: records come back in grid order, each run seeds
+its own stream from its grid key, and no RNG state leaks across runs.
 
 With curve capture on, each record carries its best-so-far curve as a
 `Curve`: a read-only sequence of one ``(generation, best_value)`` pair per
@@ -94,6 +94,14 @@ class ExperimentConfig:
                 )
         if not self.functions or not self.algorithms or not self.T_values:
             raise ValueError("functions, algorithms and T_values must be non-empty")
+        for key, entries in (
+            ("functions", self.functions),
+            ("algorithms", self.algorithms),
+            ("T", self.T_values),
+        ):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ValueError(f"{key} lists {repeated[0]!r} more than once")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.dim < 2:
@@ -239,19 +247,23 @@ def run_single(
     run_index: int,
     cfg: ExperimentConfig,
 ) -> RunRecord:
-    """Execute one grid cell run on its own deterministic substream."""
+    """Execute one grid cell run on its own deterministic substream.
+
+    Overflow and invalid operations raise no floating-point warnings: the
+    non-finite values they make are +inf sentinels by design."""
     obj = objective(function, cfg.dim, cfg.domain())
     labels = (function, algorithm, int(T), int(run_index))
     rng = derive_stream(cfg.base_seed, labels)
     params = algos.default_params(
         algorithm, cfg.dim, schedule_horizon=cfg.max_generations
     )
-    state = algos.init(algorithm, params, obj, rng)
-    state, termination, curve = run_until_stagnation(
-        state, T, cfg.max_generations, capture=cfg.capture_curves
-    )
-    point, value = algos.best(state)
-    grad_norm = float(np.linalg.norm(obj.grad(point)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = algos.init(algorithm, params, obj, rng)
+        state, termination, curve = run_until_stagnation(
+            state, T, cfg.max_generations, capture=cfg.capture_curves
+        )
+        point, value = algos.best(state)
+        grad_norm = float(np.linalg.norm(obj.grad(point)))
     return RunRecord(
         function=function,
         algorithm=algorithm,
@@ -296,9 +308,10 @@ def run_experiment(
 ) -> Tuple[List[RunRecord], List[SummaryRow]]:
     """Run the whole grid and aggregate.
 
-    `workers` > 1 fans runs out to a process pool of at most one process
-    per task; outputs are sorted by grid key afterwards, so results do not
-    depend on worker count.
+    Records come in grid order (function, algorithm, T, run, as listed in
+    `cfg`).  `workers` > 1 fans runs out to a process pool of at most one
+    process per task and reads the results back in submit order, so results
+    do not depend on worker count.
     """
     tasks = [(f, a, t, r, cfg) for (f, a, t, r) in _tasks(cfg)]
     # The fork start method launches every pool worker on the first submit,
@@ -338,16 +351,6 @@ def run_experiment(
                 for proc in set(active_children()) - others:
                     proc.terminate()
                 raise
-    key = {
-        (f, a, t): i
-        for i, (f, a, t) in enumerate(
-            (f, a, t)
-            for f in cfg.functions
-            for a in cfg.algorithms
-            for t in cfg.T_values
-        )
-    }
-    records.sort(key=lambda r: (key[(r.function, r.algorithm, r.T)], r.run_index))
     return records, summarize(records, cfg)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import stagbench.algorithms as algos
 from stagbench.benchmarks import objective, sphere_objective
-from stagbench.core import Bounds, ObjectiveSpec, derive_stream, make_tracker
+from stagbench.core import BestTracker, Bounds, ObjectiveSpec, derive_stream
 
 
 def _stream(algorithm, seed=42):
@@ -90,15 +90,6 @@ class TestHelpers:
         assert out[0] == 1.0 and out[3] == 2.0
         assert out[1] == np.inf and out[2] == np.inf
 
-    def test_track_batch_matches_sequential_fold(self):
-        tracker = make_tracker(np.zeros(2), 10.0, gen=0)
-        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-        vals = np.array([9.0, 11.0, 8.0, 8.0])
-        out = algos.track_batch(tracker, X, vals, gen=4)
-        assert out.best_value == 8.0
-        assert np.array_equal(out.best_point, [3.0, 3.0])  # first strict winner
-        assert out.improvement_count == 2
-
     def test_evaluate_clamps_sentinels_folds_and_counts(self):
         seen = []
         raw = np.array([9.0, np.nan, 4.0, -np.inf, 4.0])
@@ -115,7 +106,7 @@ class TestHelpers:
             batch_gradient=lambda X: np.zeros_like(X),
             domain=Bounds.cube(-1.0, 1.0, 2),
         )
-        state.tracker = make_tracker(np.zeros(2), 10.0, gen=0)
+        state.tracker = BestTracker(np.zeros(2), 10.0)
         state.generation, state.evaluations = 7, 100
         population = state.population
         X = np.array([[5.0, 0.0], [-3.0, 0.9], [0.3, -7.0], [0.2, 0.0], [0.5, 0.0]])
@@ -199,6 +190,22 @@ class TestUniformInterface:
             assert np.all(state.population >= lo)
             assert np.all(state.population <= hi)
         assert state.generation == 30
+
+    def test_step_stores_body_result_in_the_same_state(self, algorithm, monkeypatch):
+        state = _fresh_state(algorithm)
+        body = algos._module(algorithm).step
+        returned = []
+
+        def recording_body(s):
+            returned.append(body(s))
+            return returned[-1]
+
+        monkeypatch.setattr(algos._module(algorithm), "step", recording_body)
+        for g in (1, 2):
+            assert algos.step(state) is state
+            assert state.generation == g
+            assert state.population is returned[-1][0]
+            assert state.values is returned[-1][1]
 
     def test_best_is_consistent_with_population_history(self, algorithm):
         state = _fresh_state(algorithm)

@@ -270,6 +270,27 @@ class TestRunAndExperimentCommands:
         assert code == 2
         assert "error: bounds must have a finite width" in capsys.readouterr().err
 
+    def test_repeated_T_exits_2_and_names_key(self, tmp_path, capsys):
+        code = main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
+                     "--T", "5,10,5", "--runs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: T lists 5 more than once\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
+    def test_box_that_overflows_the_kernels_fails_in_one_line(
+            self, tmp_path, warning_flags):
+        proc = subprocess.run(
+            [sys.executable, *warning_flags, "-m", "stagbench", "run",
+             "--function", "zhou1", "--algorithm", "gwo", "--T", "5",
+             "--bounds=-1e307,1e307", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: every initial sample evaluated non-finite\n"
+
     def test_interrupt_exits_130(self, monkeypatch, tmp_path, capsys):
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt

@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from stagbench.core import (
-    Bounds,
-    ObjectiveSpec,
-    as_point,
-    clamp,
-    derive_stream,
-    make_tracker,
-    update_best,
-)
+from stagbench.core import BestTracker, Bounds, ObjectiveSpec, as_point, derive_stream
 
 
 class TestAsPoint:
@@ -74,14 +65,6 @@ class TestBounds:
         with pytest.raises(ValueError):
             b.lo[0] = -1.0
 
-    def test_clamp_point_into_box(self):
-        b = Bounds.cube(0.0, 1.0, 2)
-        assert np.array_equal(clamp(np.array([-1.0, 2.0]), b), [0.0, 1.0])
-
-    def test_clamp_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            clamp(np.array([0.0]), Bounds.cube(0.0, 1.0, 2))
-
 
 class TestRngStreams:
     def test_same_labels_same_draws(self):
@@ -125,39 +108,59 @@ class TestRngStreams:
 
 class TestBestTracker:
     def test_strict_improvement_only(self):
-        t = make_tracker(np.array([0.0, 0.0]), 5.0, gen=0)
-        t2 = update_best(t, np.array([1.0, 1.0]), 5.0, gen=3)
-        assert t2 is t  # tie keeps incumbent
-        t3 = update_best(t, np.array([1.0, 1.0]), 4.9, gen=3)
-        assert t3.best_value == 4.9
-        assert t3.last_improvement_gen == 3
-        assert t3.improvement_count == t.improvement_count + 1
+        t = BestTracker(np.array([0.0, 0.0]), 5.0)
+        t.fold(np.array([[1.0, 1.0]]), np.array([5.0]), gen=3)
+        # tie keeps incumbent
+        assert np.array_equal(t.best_point, [0.0, 0.0])
+        assert (t.best_value, t.last_improvement_gen, t.improvement_count) == (5.0, 0, 0)
+        t.fold(np.array([[1.0, 1.0]]), np.array([4.9]), gen=3)
+        assert t.best_value == 4.9
+        assert t.last_improvement_gen == 3
+        assert t.improvement_count == 1
 
     def test_worse_candidate_keeps_incumbent(self):
-        t = make_tracker(np.array([0.0]), 1.0, gen=0)
-        assert update_best(t, np.array([9.0]), 2.0, gen=5) is t
+        t = BestTracker(np.array([0.0]), 1.0)
+        point = t.best_point
+        t.fold(np.array([[9.0]]), np.array([2.0]), gen=5)
+        assert t.best_point is point
+        assert (t.best_value, t.last_improvement_gen, t.improvement_count) == (1.0, 0, 0)
+
+    def test_fold_keeps_first_strict_winner_in_row_order(self):
+        t = BestTracker(np.zeros(2), 10.0)
+        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
+        t.fold(X, np.array([9.0, 11.0, 8.0, 8.0]), gen=4)
+        assert t.best_value == 8.0
+        assert np.array_equal(t.best_point, [3.0, 3.0])
+        assert t.improvement_count == 2
+        assert t.last_improvement_gen == 4
 
     def test_stored_point_isolated_from_caller(self):
         x = np.array([1.0, 2.0])
-        t = make_tracker(x, 1.0, gen=0)
+        t = BestTracker(x, 1.0)
         x[0] = -1.0
         assert t.best_point[0] == 1.0
-        y = np.array([3.0, 4.0])
-        t2 = update_best(t, y, 0.5, gen=1)
-        y[0] = -1.0
-        assert t2.best_point[0] == 3.0
+        Y = np.array([[3.0, 4.0]])
+        t.fold(Y, np.array([0.5]), gen=1)
+        Y[0, 0] = -1.0
+        assert t.best_point[0] == 3.0
 
     def test_non_finite_values_rejected(self):
-        t = make_tracker(np.array([0.0]), 1.0, gen=0)
-        with pytest.raises(ValueError):
-            update_best(t, np.array([0.0]), float("nan"), gen=1)
-        with pytest.raises(ValueError):
-            make_tracker(np.array([0.0]), float("inf"))
+        for seed in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                BestTracker(np.array([0.0]), seed)
+        t = BestTracker(np.array([0.0]), 1.0)
+        t.fold(np.array([[1.0], [2.0]]), np.array([np.nan, np.inf]), gen=1)
+        assert (t.best_value, t.improvement_count) == (1.0, 0)
 
-    def test_tracker_is_immutable(self):
-        t = make_tracker(np.array([0.0]), 1.0, gen=0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            t.best_value = 0.0  # type: ignore[misc]
+    def test_best_point_read_before_fold_keeps_values(self):
+        t = BestTracker(np.array([1.0, 2.0]), 1.0)
+        before = t.best_point
+        t.fold(np.array([[5.0, 6.0], [7.0, 8.0]]), np.array([0.5, 0.25]), gen=1)
+        assert np.array_equal(before, [1.0, 2.0])
+        assert np.array_equal(t.best_point, [7.0, 8.0])
+        later = t.best_point
+        t.fold(np.array([[0.0, 0.0]]), np.array([0.125]), gen=2)
+        assert np.array_equal(later, [7.0, 8.0])
 
 
 class TestObjectiveSpec:

@@ -1,0 +1,29 @@
+"""Every name a module exports resolves, so a deletion leaves no dead export."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import stagbench
+
+MODULES = ["stagbench"] + [
+    info.name for info in pkgutil.walk_packages(stagbench.__path__, "stagbench.")
+]
+EXPORTING = [
+    name for name in MODULES if hasattr(importlib.import_module(name), "__all__")
+]
+
+
+def test_package_and_its_modules_declare_exports():
+    assert {"stagbench", "stagbench.core", "stagbench.algorithms",
+            "stagbench.harness"} <= set(EXPORTING)
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []

@@ -80,6 +80,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="bounds must have a finite width"):
             ExperimentConfig(bounds_lo=-1e308, bounds_hi=1e308)
 
+    @pytest.mark.parametrize(
+        "key, field, entries",
+        (
+            ("functions", "functions", ("zhou1", "zhou2", "zhou1")),
+            ("algorithms", "algorithms", ("gwo", "gwo")),
+            ("T", "T_values", (5, 10, 5)),
+        ),
+    )
+    def test_repeated_grid_entries_rejected(self, key, field, entries):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**{field: entries})
+        assert str(exc.value) == f"{key} lists {entries[0]!r} more than once"
+
 
 class TestRunUntilStagnation:
     @staticmethod
