@@ -44,7 +44,6 @@ from .nominal import (
     PAIRINGS,
     InsufficientDataError,
     NominalConfig,
-    NominalState,
     diameter,
     measured_contraction,
     pair_step,
@@ -83,7 +82,6 @@ __all__ = [
     "FUNCTIONS",
     "InsufficientDataError",
     "NominalConfig",
-    "NominalState",
     "ObjectiveSpec",
     "PAIRINGS",
     "ParamSet",

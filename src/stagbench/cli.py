@@ -220,8 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         if name == "run":
-            p.add_argument("--function", required=True)
-            p.add_argument("--algorithm", required=True)
+            p.add_argument("--function", dest="functions", required=True)
+            p.add_argument("--algorithm", dest="algorithms", required=True)
             p.add_argument("--T", type=int, required=True)
             p.add_argument("--runs", type=int, default=1)
         else:
@@ -232,15 +232,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--runs", type=int)
         p.add_argument("--dim", type=int)
         p.add_argument("--bounds", help="lo,hi")
-        p.add_argument("--seed", type=int, help="base seed (default 42)")
+        p.add_argument("--seed", dest="base_seed", type=int, help="base seed (default 42)")
         p.add_argument("--max-generations", type=int)
-        p.add_argument("--threshold", type=float, help="stationarity threshold")
+        p.add_argument("--threshold", dest="stationarity_threshold", type=float,
+                       help="stationarity threshold")
         p.add_argument(
             "--workers", type=int,
             help="worker processes (0 = auto); capped at the usable CPU count "
             "and at the number of runs",
         )
-        p.add_argument("--out", help="output directory (default results)")
+        p.add_argument("--out", dest="output_dir",
+                       help="output directory (default results)")
         cg = p.add_mutually_exclusive_group()
         cg.add_argument(
             "--curves", dest="curves", action="store_true", default=None,
@@ -257,7 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_nominal(args) -> int:
-    stagnant = frozenset(int(i) for i in _parse_list(args.stagnant))
+    try:
+        stagnant = frozenset(int(i) for i in _parse_list(args.stagnant))
+    except ValueError:
+        raise ValueError(
+            f"--stagnant must be comma-separated integers, got {args.stagnant!r}"
+        )
     cfg = nominal.NominalConfig(
         alpha=args.alpha,
         n_individuals=args.n,
@@ -265,8 +272,6 @@ def _cmd_nominal(args) -> int:
         pairing=args.pairing,
         stagnant_set=stagnant,
     )
-    if args.steps < 1:
-        raise ValueError("steps must be >= 1")
     rng = derive_stream(args.seed, ["nominal"])
     init = rng.generator().uniform(-100.0, 100.0, size=(args.n, args.dim))
     _, errors = nominal.simulate(cfg, init, args.steps, rng.child("simulate"))
@@ -298,41 +303,28 @@ def _cmd_bench(args) -> int:
             raise ValueError(f"--point must be comma-separated numbers, got {args.point!r}")
     else:
         point = benchmarks.optimum(name, args.dim, args.optimum)
-    value = benchmarks.value(name, point)
-    grad = benchmarks.gradient(name, point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = benchmarks.value(name, point)
+        grad = benchmarks.gradient(name, point)
+        grad_norm = float(np.linalg.norm(grad))
+    if not (np.isfinite(value) and np.isfinite(grad_norm)):
+        raise ValueError(
+            f"the {name} value or gradient norm overflows float64 at this point"
+        )
     out = sys.stdout
     out.write(f"function: {name}\n")
     out.write("point: " + ",".join(format_float(x) for x in point) + "\n")
     out.write(f"value: {format_float(value)}\n")
     out.write("gradient: " + ",".join(format_float(g) for g in grad) + "\n")
-    out.write(f"grad_norm: {format_float(float(np.linalg.norm(grad)))}\n")
+    out.write(f"grad_norm: {format_float(grad_norm)}\n")
     return 0
 
 
-def _experiment_overrides(args, single_cell: bool) -> dict:
-    overrides = {
-        "runs": getattr(args, "runs", None),
-        "dim": args.dim,
-        "bounds": args.bounds,
-        "base_seed": args.seed,
-        "max_generations": args.max_generations,
-        "stationarity_threshold": args.threshold,
-        "workers": args.workers,
-        "output_dir": args.out,
-        "curves": args.curves,
-    }
-    if single_cell:
-        overrides["functions"] = args.function
-        overrides["algorithms"] = args.algorithm
-        overrides["T"] = str(args.T)
-    else:
-        overrides["functions"] = args.functions
-        overrides["algorithms"] = args.algorithms
-        overrides["T"] = args.T
-    return {k: v for k, v in overrides.items() if v is not None}
-
-
-def _write_reports(cli_cfg: CliConfig) -> int:
+def _cmd_grid(args) -> int:
+    cli_cfg = parse_config(
+        getattr(args, "config", None),
+        {key: getattr(args, key, None) for key in CONFIG_KEYS},
+    )
     cfg = cli_cfg.experiment
     try:
         os.makedirs(cli_cfg.output_dir, exist_ok=True)
@@ -362,16 +354,6 @@ def _write_reports(cli_cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    cli_cfg = parse_config(None, _experiment_overrides(args, single_cell=True))
-    return _write_reports(cli_cfg)
-
-
-def _cmd_experiment(args) -> int:
-    cli_cfg = parse_config(args.config, _experiment_overrides(args, single_cell=False))
-    return _write_reports(cli_cfg)
-
-
 def _cmd_verify(_args) -> int:
     results = verify.run_checks()
     all_ok = True
@@ -387,8 +369,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = {
         "nominal": _cmd_nominal,
         "bench": _cmd_bench,
-        "run": _cmd_run,
-        "experiment": _cmd_experiment,
+        "run": _cmd_grid,
+        "experiment": _cmd_grid,
         "verify": _cmd_verify,
     }[args.command]
     try:

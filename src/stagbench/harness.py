@@ -413,16 +413,24 @@ def write_records(records: Sequence[RunRecord], path: str) -> None:
             )
 
 
+def _summary_cells(s: SummaryRow) -> Tuple[str, ...]:
+    """The cells of one summary row, in SUMMARY_HEADER order."""
+    return (
+        s.function,
+        str(s.T),
+        s.algorithm,
+        format_float(s.mean_grad_norm),
+        format_float(s.stationary_fraction),
+        format_float(s.mean_generations),
+        str(s.runs),
+    )
+
+
 def write_summary(rows: Sequence[SummaryRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         for s in rows:
-            fh.write(
-                f"{s.function},{s.T},{s.algorithm},"
-                f"{format_float(s.mean_grad_norm)},"
-                f"{format_float(s.stationary_fraction)},"
-                f"{format_float(s.mean_generations)},{s.runs}\n"
-            )
+            fh.write(",".join(_summary_cells(s)) + "\n")
 
 
 def curve_filename(function: str, algorithm: str, T: int) -> str:
@@ -455,21 +463,8 @@ def write_curves(records: Sequence[RunRecord], directory: str) -> List[str]:
 
 def render_summary_table(rows: Sequence[SummaryRow]) -> str:
     """Fixed-width text table of the summary for terminal display."""
-    header = ("function", "T", "algorithm", "mean_grad_norm",
-              "stationary_fraction", "mean_generations", "runs")
-    cells = [header]
-    for s in rows:
-        cells.append(
-            (
-                s.function,
-                str(s.T),
-                s.algorithm,
-                format_float(s.mean_grad_norm),
-                format_float(s.stationary_fraction),
-                format_float(s.mean_generations),
-                str(s.runs),
-            )
-        )
+    header = SUMMARY_HEADER.split(",")
+    cells = [header] + [_summary_cells(s) for s in rows]
     widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
     lines = []
     for i, row in enumerate(cells):

@@ -9,25 +9,26 @@ stability region widens to ``0 < alpha < 2`` — a stagnant partner *helps*
 convergence for ``alpha`` in ``(1, 2)``.
 
 ``simulate`` runs the N-individual generalization under one of two pairing
-schemes and records the population diameter (max pairwise distance) per
-step; ``measured_contraction`` estimates the per-step contraction factor
-from such a diameter sequence, and ``predicted_factor`` gives the
-two-individual theory value to compare against.
+schemes as array code: each step is one update of all pairs at once, the
+trajectory is one read-only ``(steps + 1, N, dim)`` array, and the
+population diameter (max pairwise distance) is recorded per step.
+``measured_contraction`` estimates the per-step contraction factor from such
+a diameter sequence, and ``predicted_factor`` gives the two-individual
+theory value to compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import RngStream, as_point
+from .core import RngStream
 
 __all__ = [
     "PAIRINGS",
     "NominalConfig",
-    "NominalState",
     "InsufficientDataError",
     "pair_step",
     "stagnant_step",
@@ -81,31 +82,18 @@ class NominalConfig:
         object.__setattr__(self, "stagnant_set", stagnant)
 
 
-@dataclass(frozen=True)
-class NominalState:
-    """Positions of all N individuals after step `k` (k=0 is the init)."""
-
-    positions: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        pos = np.array(self.positions, dtype=np.float64)
-        if pos.ndim != 2:
-            raise ValueError("positions must be an (N, dim) array")
-        pos.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        if self.k < 0:
-            raise ValueError("step counter must be non-negative")
-
-
 def pair_step(xi, xj, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     """One mutual update: both individuals move toward each other.
 
-    Both use the same displacement ``alpha * (xj - xi)``, so the pair sum is
-    preserved (to roundoff) and the separation scales by ``1 - 2*alpha``.
+    `xi` and `xj` are two points, or two row blocks of the same shape whose
+    rows are paired.  Both use the same displacement ``alpha * (xj - xi)``,
+    so the pair sum is preserved (to roundoff) and the separation scales by
+    ``1 - 2*alpha``.
     """
-    xi = as_point(xi)
-    xj = as_point(xj, xi.size)
+    xi = np.asarray(xi, dtype=np.float64)
+    xj = np.asarray(xj, dtype=np.float64)
+    if xi.shape != xj.shape:
+        raise ValueError(f"partner shapes differ: {xi.shape} and {xj.shape}")
     delta = alpha * (xj - xi)
     return xi + delta, xj - delta
 
@@ -113,18 +101,21 @@ def pair_step(xi, xj, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
 def stagnant_step(xi, xj_frozen, alpha: float) -> np.ndarray:
     """One update against a frozen partner: only `xi` moves.
 
-    The separation ``xi - xj_frozen`` scales by ``1 - alpha``.
+    This is the moving half of `pair_step`; the separation
+    ``xi - xj_frozen`` scales by ``1 - alpha``.
     """
-    xi = as_point(xi)
-    xj_frozen = as_point(xj_frozen, xi.size)
-    return xi + alpha * (xj_frozen - xi)
+    return pair_step(xi, xj_frozen, alpha)[0]
 
 
 def diameter(positions: np.ndarray) -> float:
-    """Max pairwise Euclidean distance within a population (N, dim)."""
+    """Max pairwise Euclidean distance within a population (N, dim).
+
+    ``hypot`` keeps every distance that fits in float64 from overflowing
+    or underflowing in its squares.
+    """
     X = np.asarray(positions, dtype=np.float64)
     diff = X[:, None, :] - X[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    return float(np.hypot.reduce(diff, axis=2, initial=0.0).max())
 
 
 def simulate(
@@ -132,53 +123,50 @@ def simulate(
     init: Sequence,
     steps: int,
     rng: RngStream,
-) -> Tuple[List[NominalState], np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Run `steps` updates of the nominal dynamics from `init`.
 
-    Returns the trajectory (``steps + 1`` states, index = step counter) and
-    the diameter sequence aligned with it.  Under ``mutual_random`` a
-    uniformly random perfect matching over the *whole* population is drawn
-    each step: mobile-mobile pairs do `pair_step`, a mobile individual
-    matched to a stagnant one does `stagnant_step` against it, stagnant
-    individuals never move, and with an odd population the unmatched
-    individual stays put.  Under ``ring`` every mobile individual moves
-    toward its successor's previous position simultaneously.
+    Returns the trajectory, a read-only ``(steps + 1, N, dim)`` array
+    indexed by step counter, and the diameter sequence aligned with it.
+    Under ``mutual_random`` a uniformly random perfect matching over the
+    *whole* population is drawn each step and all pairs make one
+    `pair_step`; with an odd population the unmatched individual stays put.
+    Under ``ring`` every individual moves toward its successor's previous
+    position simultaneously.  Stagnant individuals never move, so a mobile
+    individual matched to one makes exactly its `stagnant_step`.  A
+    divergent run raises ValueError at the first step whose diameter is
+    not a finite float64.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    X = np.array([as_point(p, cfg.dim) for p in init], dtype=np.float64)
-    if X.shape[0] != cfg.n_individuals:
-        raise ValueError(
-            f"init has {X.shape[0]} points, expected {cfg.n_individuals}"
-        )
+    n, alpha = cfg.n_individuals, cfg.alpha
+    X = np.array(init, dtype=np.float64)
+    if X.shape != (n, cfg.dim):
+        raise ValueError(f"init must be {n} points of dimension {cfg.dim}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("point coordinates must be finite")
+    frozen = np.isin(np.arange(n), list(cfg.stagnant_set))
     gen = rng.generator()
-    stagnant = cfg.stagnant_set
-    trajectory = [NominalState(X, 0)]
-    errors = np.empty(steps + 1, dtype=np.float64)
-    errors[0] = diameter(X)
-    for k in range(1, steps + 1):
-        if cfg.pairing == "mutual_random":
-            order = gen.permutation(cfg.n_individuals)
-            new = X.copy()
-            for a, b in zip(order[0::2], order[1::2]):
-                a, b = int(a), int(b)
-                if a in stagnant and b in stagnant:
-                    continue
-                if a in stagnant:
-                    new[b] = stagnant_step(X[b], X[a], cfg.alpha)
-                elif b in stagnant:
-                    new[a] = stagnant_step(X[a], X[b], cfg.alpha)
-                else:
-                    new[a], new[b] = pair_step(X[a], X[b], cfg.alpha)
-            X = new
-        else:
-            succ = np.roll(X, -1, axis=0)
-            new = X + cfg.alpha * (succ - X)
-            for i in stagnant:
-                new[i] = X[i]
-            X = new
-        trajectory.append(NominalState(X, k))
-        errors[k] = diameter(X)
+    trajectory = np.empty((steps + 1,) + X.shape, dtype=np.float64)
+    trajectory[0] = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            X, new = trajectory[k - 1], trajectory[k]
+            if cfg.pairing == "mutual_random":
+                order = gen.permutation(n)
+                a, b = order[0:n - 1:2], order[1::2]
+                new[:] = X
+                new[a], new[b] = pair_step(X[a], X[b], alpha)
+            else:
+                new[:] = X + alpha * (np.roll(X, -1, axis=0) - X)
+            new[frozen] = X[frozen]
+        errors = np.array([diameter(P) for P in trajectory])
+    bad = np.flatnonzero(~np.isfinite(errors))
+    if bad.size:
+        raise ValueError(
+            f"the population's diameter left the float64 range at step {bad[0]}"
+        )
+    trajectory.setflags(write=False)
     return trajectory, errors
 
 

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
 import pytest
 
 from stagbench import harness
@@ -159,6 +160,31 @@ class TestNominalCommand:
         ])
         assert code == 2
 
+    def test_bad_stagnant_exits_2_and_names_flag(self, capsys):
+        assert main(["nominal", "--alpha", "0.5", "--stagnant", "a"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --stagnant must be comma-separated integers, got 'a'\n"
+        )
+
+    @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
+    def test_divergence_stays_finite_until_float64_ends(self, warning_flags):
+        proc = _stagbench(warning_flags, "nominal", "--alpha", "1.5",
+                          "--steps", "600")
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = proc.stdout.splitlines()[1:]
+        assert len(rows) == 601
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows)
+
+    @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
+    def test_divergence_past_float64_fails_in_one_line(self, warning_flags):
+        proc = _stagbench(warning_flags, "nominal", "--alpha", "1.5",
+                          "--steps", "1100")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(
+            "error: the population's diameter left the float64 range at step "
+        )
+        assert proc.stderr.count("\n") == 1
+
 
 class TestBenchCommand:
     def test_certificate_point(self, capsys):
@@ -184,6 +210,16 @@ class TestBenchCommand:
 
     def test_bad_point_exits_2(self, capsys):
         assert main(["bench", "zhou1", "--point", "1,zebra"]) == 2
+
+    @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
+    def test_overflowing_point_fails_in_one_line(self, warning_flags):
+        proc = _stagbench(warning_flags, "bench", "zhou1",
+                          "--point", "1e200,1,1")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            "error: the zhou1 value or gradient norm overflows float64 "
+            "at this point\n"
+        )
 
 
 class TestRunAndExperimentCommands:
@@ -280,13 +316,9 @@ class TestRunAndExperimentCommands:
     @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
     def test_box_that_overflows_the_kernels_fails_in_one_line(
             self, tmp_path, warning_flags):
-        proc = subprocess.run(
-            [sys.executable, *warning_flags, "-m", "stagbench", "run",
-             "--function", "zhou1", "--algorithm", "gwo", "--T", "5",
-             "--bounds=-1e307,1e307", "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=_child_env(),
+        proc = _stagbench(
+            warning_flags, "run", "--function", "zhou1", "--algorithm", "gwo",
+            "--T", "5", "--bounds=-1e307,1e307", "--out", str(tmp_path),
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: every initial sample evaluated non-finite\n"
@@ -322,6 +354,16 @@ def _child_env() -> dict:
     paths = [str(SRC), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     return env
+
+
+def _stagbench(warning_flags: Sequence[str], *argv: str):
+    """Run ``python [warning_flags] -m stagbench argv`` in a child process."""
+    return subprocess.run(
+        [sys.executable, *warning_flags, "-m", "stagbench", *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
 
 
 def _console_script(entry: importlib.metadata.EntryPoint,

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from stagbench.core import derive_stream
 from stagbench.nominal import (
+    PAIRINGS,
     InsufficientDataError,
     NominalConfig,
     diameter,
@@ -31,6 +34,39 @@ def _simulate(alpha, init, steps, *, n=None, dim=None, pairing="mutual_random",
     return simulate(cfg, init, steps, derive_stream(seed, ["nominal-test"]))
 
 
+def _reference_simulate(cfg, init, steps, rng):
+    """The per-pair loop that `simulate` replaced, kept as its reference:
+    one Python update per pair, and a stagnant partner handled by its own
+    branch."""
+    X = np.array(init, dtype=np.float64)
+    gen = rng.generator()
+    stagnant = cfg.stagnant_set
+    trajectory = [X]
+    for _ in range(steps):
+        new = X.copy()
+        if cfg.pairing == "mutual_random":
+            order = gen.permutation(cfg.n_individuals)
+            for a, b in zip(order[0::2], order[1::2]):
+                a, b = int(a), int(b)
+                if a in stagnant and b in stagnant:
+                    continue
+                if a in stagnant:
+                    new[b] = X[b] + cfg.alpha * (X[a] - X[b])
+                elif b in stagnant:
+                    new[a] = X[a] + cfg.alpha * (X[b] - X[a])
+                else:
+                    delta = cfg.alpha * (X[b] - X[a])
+                    new[a], new[b] = X[a] + delta, X[b] - delta
+        else:
+            new = X + cfg.alpha * (np.roll(X, -1, axis=0) - X)
+            for i in stagnant:
+                new[i] = X[i]
+        X = new
+        trajectory.append(X)
+    trajectory = np.array(trajectory)
+    return trajectory, np.array([diameter(P) for P in trajectory])
+
+
 class TestPairStep:
     def test_symmetric_move_preserves_midpoint(self):
         xi, xj = np.array([0.0]), np.array([10.0])
@@ -47,6 +83,25 @@ class TestPairStep:
         moved = stagnant_step(np.array([10.0]), np.array([0.0]), 1.5)
         assert moved[0] == pytest.approx(-5.0)  # overshoots past the target
 
+    def test_row_blocks_equal_row_by_row_calls(self):
+        gen = np.random.Generator(np.random.PCG64(4))
+        A = gen.uniform(-50.0, 50.0, size=(5, 3))
+        B = gen.uniform(-50.0, 50.0, size=(5, 3))
+        new_a, new_b = pair_step(A, B, 1.3)
+        moved = stagnant_step(A, B, 1.3)
+        for i in range(5):
+            ai, bi = pair_step(A[i], B[i], 1.3)
+            assert np.array_equal(new_a[i], ai)
+            assert np.array_equal(new_b[i], bi)
+            assert np.array_equal(moved[i], stagnant_step(A[i], B[i], 1.3))
+
+    @pytest.mark.parametrize("step", (pair_step, stagnant_step))
+    def test_mismatched_shapes_rejected(self, step):
+        with pytest.raises(ValueError, match="shapes differ"):
+            step(np.zeros((2, 3)), np.zeros((3, 3)), 0.5)
+        with pytest.raises(ValueError, match="shapes differ"):
+            step(np.zeros(2), np.zeros(3), 0.5)
+
 
 class TestDiameter:
     def test_two_points(self):
@@ -58,6 +113,12 @@ class TestDiameter:
 
     def test_single_point_zero(self):
         assert diameter(np.array([[1.0, 2.0]])) == 0.0
+
+    def test_huge_distance_does_not_overflow(self):
+        assert diameter(np.array([[1e200], [-1e200]])) == 2e200
+
+    def test_tiny_distance_does_not_underflow(self):
+        assert diameter(np.array([[1e-200], [0.0]])) == 1e-200
 
 
 class TestTwoIndividualExactness:
@@ -94,13 +155,13 @@ class TestTwoIndividualExactness:
 class TestStagnantMode:
     def test_frozen_individual_never_moves(self):
         traj, _ = _simulate(0.3, [[0.0, 0.0], [6.0, 8.0]], 20, stagnant=(1,))
-        for state in traj:
-            assert np.array_equal(state.positions[1], [6.0, 8.0])
+        for positions in traj:
+            assert np.array_equal(positions[1], [6.0, 8.0])
 
     def test_mobile_converges_to_frozen_position(self):
         traj, errors = _simulate(0.3, [[0.0, 0.0], [6.0, 8.0]], 60, stagnant=(1,))
         assert errors[-1] < 1e-6
-        assert np.allclose(traj[-1].positions[0], [6.0, 8.0], atol=1e-6)
+        assert np.allclose(traj[-1][0], [6.0, 8.0], atol=1e-6)
 
     def test_all_stagnant_rejected(self):
         with pytest.raises(ValueError):
@@ -113,9 +174,9 @@ class TestStagnantMode:
 class TestPopulationPairings:
     def test_mutual_random_preserves_centroid(self):
         traj, _ = _simulate(0.25, np.arange(12.0).reshape(6, 2), 30, seed=3)
-        c0 = traj[0].positions.mean(axis=0)
-        for state in traj:
-            assert np.allclose(state.positions.mean(axis=0), c0, atol=1e-9)
+        c0 = traj[0].mean(axis=0)
+        for positions in traj:
+            assert np.allclose(positions.mean(axis=0), c0, atol=1e-9)
 
     def test_mutual_random_converges(self):
         gen = np.random.Generator(np.random.PCG64(9))
@@ -135,20 +196,64 @@ class TestPopulationPairings:
         traj, errors = _simulate(0.5, init, 500, pairing="ring", seed=7)
         assert errors[-1] < 1e-6
         assert np.allclose(
-            traj[-1].positions, init.mean(axis=0), atol=1e-5
+            traj[-1], init.mean(axis=0), atol=1e-5
         )
 
     def test_ring_is_deterministic_across_seeds(self):
         init = np.arange(8.0).reshape(4, 2)
         t1, _ = _simulate(0.4, init, 10, pairing="ring", seed=1)
         t2, _ = _simulate(0.4, init, 10, pairing="ring", seed=2)
-        assert np.array_equal(t1[-1].positions, t2[-1].positions)
+        assert np.array_equal(t1[-1], t2[-1])
 
     def test_stagnant_in_ring_blocks_full_consensus(self):
         init = np.array([[0.0], [10.0], [20.0], [30.0]])
         traj, _ = _simulate(0.4, init, 800, pairing="ring", stagnant=(0,))
         # Everyone is dragged to the frozen individual's position.
-        assert np.allclose(traj[-1].positions, 0.0, atol=1e-6)
+        assert np.allclose(traj[-1], 0.0, atol=1e-6)
+
+
+class TestArrayDynamics:
+    def test_matches_per_pair_reference_bit_for_bit(self):
+        gen = np.random.Generator(np.random.PCG64(2024))
+        alphas = (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 1.9)
+        for i in range(240):
+            n = int(gen.integers(2, 9))
+            size = int(gen.integers(0, n))
+            cfg = NominalConfig(
+                alpha=float(alphas[i % len(alphas)]),
+                n_individuals=n,
+                dim=int(gen.integers(1, 4)),
+                pairing=PAIRINGS[(i // len(alphas)) % 2],
+                stagnant_set=frozenset(
+                    int(j) for j in gen.choice(n, size=size, replace=False)
+                ),
+            )
+            init = gen.uniform(-100.0, 100.0, size=(n, cfg.dim))
+            steps = int(gen.integers(1, 60))
+            traj, errors = simulate(cfg, init, steps, derive_stream(i, ["ref"]))
+            ref_traj, ref_errors = _reference_simulate(
+                cfg, init, steps, derive_stream(i, ["ref"])
+            )
+            assert np.array_equal(traj, ref_traj), cfg
+            assert np.array_equal(errors, ref_errors), cfg
+
+    def test_trajectory_is_one_read_only_array(self):
+        traj, errors = _simulate(0.3, np.arange(15.0).reshape(5, 3), 12)
+        assert traj.shape == (13, 5, 3) and traj.dtype == np.float64
+        assert errors.shape == (13,)
+        assert not traj.flags.writeable
+
+    def test_divergence_past_float64_names_the_step(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, errors = _simulate(1.5, [[-5.0], [5.0]], 600)
+            assert np.all(np.isfinite(errors))
+            with pytest.raises(ValueError, match=r"float64 range at step 10\d\d"):
+                _simulate(1.5, [[-5.0], [5.0]], 1100)
+
+    def test_non_finite_init_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            _simulate(0.5, [[0.0], [np.inf]], 5)
 
 
 class TestMeasuredContraction:
