@@ -5,7 +5,9 @@ stop because the best value has stagnated have usually *converged*, but
 on deceptively rugged objectives they have almost never reached a
 minimizer — the gradient at the returned point stays enormous.
 
-The package provides
+The top level exports only the grid entry point, ``ExperimentConfig`` and
+``run_experiment`` (from :mod:`stagbench.harness`).  Everything else is
+imported from its own module:
 
 * three rugged benchmark families with analytic gradients and
   closed-form optima (:mod:`stagbench.benchmarks`),
@@ -18,101 +20,8 @@ The package provides
 * a ``stagbench`` command-line tool (:mod:`stagbench.cli`).
 """
 
-from .core import (
-    BestTracker,
-    Bounds,
-    ObjectiveSpec,
-    RngStream,
-    as_point,
-    derive_stream,
-)
-from .benchmarks import (
-    BRANCHES,
-    FUNCTIONS,
-    default_bounds,
-    fd_gradient,
-    gradient,
-    gradient_batch,
-    objective,
-    optima,
-    optimum,
-    sphere_objective,
-    value,
-    value_batch,
-)
-from .nominal import (
-    PAIRINGS,
-    InsufficientDataError,
-    NominalConfig,
-    diameter,
-    measured_contraction,
-    pair_step,
-    predicted_factor,
-    simulate,
-    stagnant_step,
-)
-from .algorithms import (
-    ALGORITHMS,
-    AlgoState,
-    ParamSet,
-    default_params,
-    defaults_table,
-)
-from .harness import (
-    ExperimentConfig,
-    RunRecord,
-    SummaryRow,
-    run_experiment,
-    run_single,
-    summarize,
-    write_curves,
-    write_records,
-    write_summary,
-)
+from .harness import ExperimentConfig, run_experiment
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALGORITHMS",
-    "AlgoState",
-    "BRANCHES",
-    "BestTracker",
-    "Bounds",
-    "ExperimentConfig",
-    "FUNCTIONS",
-    "InsufficientDataError",
-    "NominalConfig",
-    "ObjectiveSpec",
-    "PAIRINGS",
-    "ParamSet",
-    "RngStream",
-    "RunRecord",
-    "SummaryRow",
-    "as_point",
-    "default_bounds",
-    "default_params",
-    "defaults_table",
-    "derive_stream",
-    "diameter",
-    "fd_gradient",
-    "gradient",
-    "gradient_batch",
-    "measured_contraction",
-    "objective",
-    "optima",
-    "optimum",
-    "pair_step",
-    "predicted_factor",
-    "run_experiment",
-    "run_single",
-    "simulate",
-    "sphere_objective",
-    "stagnant_step",
-    "summarize",
-    "value",
-    "value_batch",
-    "write_curves",
-    "write_records",
-    "write_summary",
-    "__version__",
-]
+__all__ = ["ExperimentConfig", "run_experiment", "__version__"]

@@ -3,7 +3,7 @@
 Every algorithm is driven the same way::
 
     params = default_params("gwo", dim=3)
-    state = init("gwo", params, objective, rng)
+    state = init(params, objective, rng)
     while not done(state):
         state = step(state)
     point, value = best(state)
@@ -176,19 +176,10 @@ def schedule_fraction(generation: int, horizon: int) -> float:
     return min(1.0, max(0.0, generation / horizon))
 
 
-def init(
-    algorithm: str,
-    params: ParamSet,
-    objective: ObjectiveSpec,
-    rng: RngStream,
-) -> AlgoState:
-    """Sample a uniform population in the box, evaluate it, seed the tracker."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    if params.algorithm != algorithm:
-        raise ValueError("params were built for a different algorithm")
+def init(params: ParamSet, objective: ObjectiveSpec, rng: RngStream) -> AlgoState:
+    """Sample a uniform population in the box, evaluate it, seed the tracker;
+    the algorithm is the one `params` were built for."""
+    algorithm = params.algorithm
     gen_rng = rng.generator()
     n, dim = params.pop_size, objective.dim
     X = gen_rng.uniform(objective.domain.lo, objective.domain.hi, size=(n, dim))

@@ -40,7 +40,6 @@ __all__ = [
     "fd_gradient",
     "objective",
     "sphere_objective",
-    "default_bounds",
 ]
 
 FUNCTIONS = ("zhou1", "zhou2", "zhou3")
@@ -86,17 +85,14 @@ def gradient_batch(name: str, X: np.ndarray) -> np.ndarray:
 
 
 def value(name: str, x) -> float:
-    """Evaluate `name` at a single point."""
-    x = as_point(x)
-    _check_dim(x.size)
-    return float(value_batch(name, x[None, :])[0])
+    """Evaluate `name` at a single point (the name is checked first)."""
+    return float(value_batch(name, as_point(x)[None, :])[0])
 
 
 def gradient(name: str, x) -> np.ndarray:
-    """Analytic gradient of `name` at a single point."""
-    x = as_point(x)
-    _check_dim(x.size)
-    return gradient_batch(name, x[None, :])[0]
+    """Analytic gradient of `name` at a single point (the name is checked
+    first)."""
+    return gradient_batch(name, as_point(x)[None, :])[0]
 
 
 def optimum(name: str, dim: int, branch: str = "minus") -> np.ndarray:
@@ -106,7 +102,7 @@ def optimum(name: str, dim: int, branch: str = "minus") -> np.ndarray:
     last coordinate; `branch` selects it ("minus" or "plus").  `zhou1` has a
     unique minimizer and ignores `branch`; its coordinates ``2**(2**i - 1)``
     pass the float64 range from dim 12 on, and those coordinates are
-    ``inf`` (``objective`` drops such a point as outside the box).
+    ``inf``.
     """
     _check_name(name)
     dim = _check_dim(dim)
@@ -171,53 +167,38 @@ def fd_gradient(name: str, x, h: float = 1e-7, order: int = 6) -> np.ndarray:
     return (f.reshape(dim, k) @ weights) / h
 
 
-def default_bounds(dim: int, lo: float = -100.0, hi: float = 100.0) -> Bounds:
-    """The standard search box, a cube (default [-100, 100]^dim)."""
-    return Bounds.cube(lo, hi, dim)
-
-
 def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:
-    """Package `name` as an ObjectiveSpec over `bounds`.
-
-    `known_optima` keeps only the closed-form minimizers that lie strictly
-    inside the box (``zhou1`` grows as ``x[i+1] = 2 x[i]^2`` and escapes the
-    default box for dim >= 4).
-    """
+    """Package `name` as an ObjectiveSpec over `bounds` (default
+    [-100, 100]^dim)."""
     _check_name(name)
     dim = _check_dim(dim)
     if bounds is None:
-        bounds = default_bounds(dim)
+        bounds = Bounds.cube(-100.0, 100.0, dim)
     if bounds.dim != dim:
         raise ValueError("bounds dimension does not match dim")
-    inside = tuple(p for p in optima(name, dim) if bounds.interior_contains(p))
     return ObjectiveSpec(
         name=name,
         dim=dim,
         batch_evaluator=lambda X, _n=name: value_batch(_n, X),
         batch_gradient=lambda X, _n=name: gradient_batch(_n, X),
         domain=bounds,
-        known_optima=inside,
     )
 
 
 def sphere_objective(dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:
-    """The sphere function ``sum(x^2)`` as a smoke-test objective."""
+    """The sphere function ``sum(x^2)`` as a smoke-test objective over
+    `bounds` (default [-100, 100]^dim)."""
     dim = int(dim)
     if dim < 1:
         raise ValueError("sphere needs dim >= 1")
     if bounds is None:
-        bounds = default_bounds(dim)
+        bounds = Bounds.cube(-100.0, 100.0, dim)
     if bounds.dim != dim:
         raise ValueError("bounds dimension does not match dim")
-    known = ()
-    origin = np.zeros(dim)
-    if bounds.interior_contains(origin):
-        known = (origin,)
     return ObjectiveSpec(
         name="sphere",
         dim=dim,
         batch_evaluator=lambda X: VALUE["sphere"](_as_batch("sphere", X)),
         batch_gradient=lambda X: GRAD["sphere"](_as_batch("sphere", X)),
         domain=bounds,
-        known_optima=known,
     )

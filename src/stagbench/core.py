@@ -22,6 +22,7 @@ __all__ = [
     "BestTracker",
     "as_point",
     "derive_stream",
+    "euclidean_norm",
 ]
 
 
@@ -43,6 +44,21 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and p.size != dim:
         raise ValueError(f"expected a point of dimension {dim}, got {p.size}")
     return p
+
+
+def euclidean_norm(v: np.ndarray) -> float:
+    """The 2-norm of the vector `v`, finite whenever it fits in float64.
+
+    ``np.linalg.norm`` squares the entries before the root, so it overflows
+    once they pass about 1.3e154; only then, and only for finite entries,
+    the norm is taken again by ``np.hypot``, which does not square.  No
+    overflow warning is raised: a norm past float64 is returned as ``inf``.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if np.isinf(norm) and np.isfinite(v).all():
+            norm = float(np.hypot.reduce(v, initial=0.0))
+    return norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,18 +109,15 @@ class Bounds:
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
 
-    def interior_contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x > self.lo) and np.all(x < self.hi))
-
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
-    """An evaluatable objective with analytic gradient and known optima.
+    """An evaluatable objective with analytic gradient over a box.
 
     `batch_evaluator` maps an (n, dim) array to (n,) values and
     `batch_gradient` maps it to (n, dim) gradients; `value` and `grad` read
     a batch of one.  Evaluators must be deterministic and bounded below on
-    the domain; every known optimum must lie strictly inside the box.
+    the domain.
     """
 
     name: str
@@ -112,20 +125,12 @@ class ObjectiveSpec:
     batch_evaluator: Callable[[np.ndarray], np.ndarray]
     batch_gradient: Callable[[np.ndarray], np.ndarray]
     domain: Bounds
-    known_optima: tuple = ()
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("objective dimension must be >= 1")
         if self.domain.dim != self.dim:
             raise ValueError("domain dimension does not match objective dimension")
-        optima = tuple(as_point(p, self.dim) for p in self.known_optima)
-        for p in optima:
-            if not self.domain.interior_contains(p):
-                raise ValueError(
-                    f"known optimum {p} does not lie strictly inside the domain"
-                )
-        object.__setattr__(self, "known_optima", optima)
 
     def value(self, p: np.ndarray) -> float:
         return float(self.value_batch(as_point(p, self.dim)[None, :])[0])

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import algorithms as algos
 from .benchmarks import FUNCTIONS, objective
-from .core import Bounds, derive_stream
+from .core import Bounds, derive_stream, euclidean_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -178,7 +178,6 @@ class RunRecord:
     algorithm: str
     T: int
     run_index: int
-    seed_path: Tuple
     best_point: np.ndarray
     best_value: float
     grad_norm: float
@@ -252,24 +251,22 @@ def run_single(
     Overflow and invalid operations raise no floating-point warnings: the
     non-finite values they make are +inf sentinels by design."""
     obj = objective(function, cfg.dim, cfg.domain())
-    labels = (function, algorithm, int(T), int(run_index))
-    rng = derive_stream(cfg.base_seed, labels)
+    rng = derive_stream(cfg.base_seed, (function, algorithm, int(T), int(run_index)))
     params = algos.default_params(
         algorithm, cfg.dim, schedule_horizon=cfg.max_generations
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        state = algos.init(algorithm, params, obj, rng)
+        state = algos.init(params, obj, rng)
         state, termination, curve = run_until_stagnation(
             state, T, cfg.max_generations, capture=cfg.capture_curves
         )
         point, value = algos.best(state)
-        grad_norm = float(np.linalg.norm(obj.grad(point)))
+        grad_norm = euclidean_norm(obj.grad(point))
     return RunRecord(
         function=function,
         algorithm=algorithm,
         T=int(T),
         run_index=int(run_index),
-        seed_path=labels,
         best_point=point,
         best_value=value,
         grad_norm=grad_norm,

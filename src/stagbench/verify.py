@@ -22,19 +22,11 @@ import numpy as np
 from . import benchmarks, nominal
 from .core import derive_stream
 
-__all__ = ["run_checks", "CHECK_NAMES"]
+__all__ = ["run_checks"]
 
 THEOREM1_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 REMARK2_ALPHAS = (1.1, 1.5, 1.9)
 RATIO_TOL = 1e-12
-
-CHECK_NAMES = (
-    "theorem1_contraction",
-    "remark2_witness",
-    "optimum_certificates",
-    "gradient_oracle",
-    "ring_consensus",
-)
 
 
 def _mutual_errors(alpha: float, steps: int, seed: int) -> np.ndarray:
@@ -151,7 +143,7 @@ def check_ring(seed: int = 0) -> Tuple[str, bool, str]:
 
 
 def run_checks() -> List[Tuple[str, bool, str]]:
-    """Run every check; order matches CHECK_NAMES."""
+    """Run every check and return one (name, passed, detail) per check."""
     return [
         check_theorem1(),
         check_remark2(),

@@ -114,7 +114,6 @@ def test_criterion_3_monotone_best():
                 obj = objective(function, 3)
                 params = algos.default_params(algorithm, 3, schedule_horizon=300)
                 state = algos.init(
-                    algorithm,
                     params,
                     obj,
                     derive_stream(seed, ["monotone", function, algorithm]),
@@ -276,9 +275,7 @@ def test_criterion_9_sphere_smoke():
         params = algos.default_params(
             algorithm, 3, schedule_horizon=SPHERE_GENERATIONS
         )
-        state = algos.init(
-            algorithm, params, obj, derive_stream(1, ["sphere", algorithm])
-        )
+        state = algos.init(params, obj, derive_stream(1, ["sphere", algorithm]))
         for _ in range(SPHERE_GENERATIONS):
             state = algos.step(state)
             if state.tracker.best_value <= SPHERE_TARGET:

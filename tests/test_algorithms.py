@@ -17,7 +17,7 @@ def _stream(algorithm, seed=42):
 def _fresh_state(algorithm, obj=None, seed=42, horizon=1000):
     obj = obj or objective("zhou2", 3)
     params = algos.default_params(algorithm, obj.dim, schedule_horizon=horizon)
-    return algos.init(algorithm, params, obj, _stream(algorithm, seed))
+    return algos.init(params, obj, _stream(algorithm, seed))
 
 
 class CountingObjective:
@@ -36,7 +36,6 @@ class CountingObjective:
             batch_evaluator=counted,
             batch_gradient=inner.batch_gradient,
             domain=inner.domain,
-            known_optima=inner.known_optima,
         )
 
 
@@ -238,7 +237,7 @@ class TestUniformInterface:
     def test_evaluation_count_is_exact(self, algorithm):
         counting = CountingObjective(objective("zhou2", 3))
         params = algos.default_params(algorithm, 3, schedule_horizon=500)
-        state = algos.init(algorithm, params, counting.spec, _stream(algorithm))
+        state = algos.init(params, counting.spec, _stream(algorithm))
         for _ in range(12):
             state = algos.step(state)
         assert state.evaluations == counting.count
@@ -256,7 +255,7 @@ class TestUniformInterface:
         # a pure sanity check far weaker than the acceptance smoke test.
         obj = sphere_objective(3)
         params = algos.default_params(algorithm, 3, schedule_horizon=500)
-        state = algos.init(algorithm, params, obj, _stream(algorithm, seed=1))
+        state = algos.init(params, obj, _stream(algorithm, seed=1))
         v0 = state.tracker.best_value
         for _ in range(60):
             state = algos.step(state)
@@ -267,7 +266,7 @@ class TestLshadeSpecifics:
     def test_population_shrinks_over_schedule(self):
         obj = objective("zhou1", 3)
         params = algos.default_params("lshade", 3, schedule_horizon=100)
-        state = algos.init("lshade", params, obj, _stream("lshade"))
+        state = algos.init(params, obj, _stream("lshade"))
         n0 = state.population.shape[0]
         for _ in range(100):
             state = algos.step(state)
@@ -278,7 +277,7 @@ class TestLshadeSpecifics:
     def test_archive_capacity_respected(self):
         obj = objective("zhou2", 3)
         params = algos.default_params("lshade", 3, schedule_horizon=200)
-        state = algos.init("lshade", params, obj, _stream("lshade", seed=4))
+        state = algos.init(params, obj, _stream("lshade", seed=4))
         rate = params.get("archive_rate")
         for _ in range(50):
             state = algos.step(state)
@@ -290,7 +289,7 @@ class TestClpsoSpecifics:
     def test_velocity_capped(self):
         obj = objective("zhou3", 3)
         params = algos.default_params("clpso", 3, schedule_horizon=500)
-        state = algos.init("clpso", params, obj, _stream("clpso", seed=5))
+        state = algos.init(params, obj, _stream("clpso", seed=5))
         vmax = params.get("vmax_fraction") * float(obj.domain.span[0])
         for _ in range(40):
             state = algos.step(state)
@@ -299,7 +298,7 @@ class TestClpsoSpecifics:
     def test_pbest_never_worse_than_current(self):
         obj = objective("zhou2", 3)
         params = algos.default_params("clpso", 3, schedule_horizon=500)
-        state = algos.init("clpso", params, obj, _stream("clpso", seed=6))
+        state = algos.init(params, obj, _stream("clpso", seed=6))
         for _ in range(40):
             state = algos.step(state)
             assert np.all(state.memory["pbest_vals"] <= state.values + 1e-15)

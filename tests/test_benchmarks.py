@@ -36,9 +36,7 @@ class TestOptima:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             opt = benchmarks.optimum("zhou1", 12)
-            obj = benchmarks.objective("zhou1", 12)
         assert opt[10] == 2.0**1023 and opt[11] == np.inf
-        assert obj.known_optima == ()
 
     @pytest.mark.parametrize("name", ("zhou2", "zhou3"))
     @pytest.mark.parametrize("branch", benchmarks.BRANCHES)
@@ -74,6 +72,13 @@ class TestEvaluators:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             benchmarks.value("zhou9", np.zeros(3))
+
+    @pytest.mark.parametrize("fn", (benchmarks.value, benchmarks.gradient))
+    def test_name_checked_before_dimension(self, fn):
+        with pytest.raises(ValueError, match="unknown benchmark function"):
+            fn("zhou9", [1.0])
+        with pytest.raises(ValueError, match="dim >= 2"):
+            fn("zhou1", [1.0])
 
     def test_batch_matches_scalar(self):
         gen = np.random.Generator(np.random.PCG64(0))
@@ -143,18 +148,6 @@ class TestObjectiveFactory:
         X = np.array([[0.5, -0.5, 1.5], [1.0, 1.0, 1.0]])
         assert np.array_equal(obj.value_batch(X), benchmarks.value_batch(name, X))
 
-    def test_interior_optima_only(self):
-        # zhou1 optima escape [-100, 100]^dim from dim 4 ((1,2,8,128,...)).
-        obj3 = benchmarks.objective("zhou1", 3)
-        assert len(obj3.known_optima) == 1
-        obj5 = benchmarks.objective("zhou1", 5)
-        assert len(obj5.known_optima) == 0
-
-    def test_zhou23_keep_both_branches_at_default_bounds(self):
-        for name in ("zhou2", "zhou3"):
-            obj = benchmarks.objective(name, 3)
-            assert len(obj.known_optima) == 2
-
     def test_custom_bounds_respected(self):
         bounds = Bounds.cube(-5.0, 5.0, 3)
         obj = benchmarks.objective("zhou2", 3, bounds)
@@ -165,7 +158,6 @@ class TestObjectiveFactory:
         assert obj.value(np.zeros(3)) == 0.0
         assert obj.value(np.ones(3)) == 3.0
         assert np.array_equal(obj.grad(np.ones(3)), 2.0 * np.ones(3))
-        assert len(obj.known_optima) == 1
 
     @pytest.mark.parametrize("method", ("batch_evaluator", "batch_gradient"))
     def test_sphere_batches_validated_like_zhou(self, method):

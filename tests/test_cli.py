@@ -202,11 +202,13 @@ class TestBenchCommand:
         assert abs(value) <= 1e-8
 
     def test_unknown_function_exits_2_and_lists_names(self, capsys):
-        code = main(["bench", "zhou9", "--point", "1,2"])
-        assert code == 2
-        err = capsys.readouterr().err
-        for name in ("zhou1", "zhou2", "zhou3"):
-            assert name in err
+        # The one-coordinate point checks that the name is checked first.
+        for point in ("1,2", "1"):
+            code = main(["bench", "zhou9", "--point", point])
+            assert code == 2
+            err = capsys.readouterr().err
+            for name in ("zhou1", "zhou2", "zhou3"):
+                assert name in err
 
     def test_bad_point_exits_2(self, capsys):
         assert main(["bench", "zhou1", "--point", "1,zebra"]) == 2
@@ -220,6 +222,17 @@ class TestBenchCommand:
             "error: the zhou1 value or gradient norm overflows float64 "
             "at this point\n"
         )
+
+    @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
+    def test_finite_gradient_whose_squares_overflow(self, warning_flags):
+        proc = _stagbench(warning_flags, "bench", "zhou2",
+                          "--point", "1e150,1,1")
+        assert proc.returncode == 0 and proc.stderr == ""
+        lines = dict(line.split(": ") for line in proc.stdout.splitlines())
+        assert float(lines["value"]) == 4.0001e304
+        grad = np.array([float(g) for g in lines["gradient"].split(",")])
+        assert np.isfinite(grad).all()
+        assert float(lines["grad_norm"]) == 4.660862075616236e157
 
 
 class TestRunAndExperimentCommands:
@@ -440,13 +453,13 @@ POOL_STACK = ("concurrent.futures", "multiprocessing", "socket", "logging",
               "queue")
 
 
-def _loaded_after(script: str) -> list:
-    """Run ``script`` in a fresh interpreter and return which POOL_STACK
-    modules it left in ``sys.modules``."""
+def _loaded_after(script: str, modules: Sequence[str] = POOL_STACK) -> list:
+    """Run ``script`` in a fresh interpreter and return which of `modules`
+    it left in ``sys.modules``."""
     probe = (
         f"{script}\n"
         "import sys\n"
-        f"print(*(m for m in {POOL_STACK!r} if m in sys.modules))\n"
+        f"print(*(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -456,6 +469,13 @@ def _loaded_after(script: str) -> list:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def test_import_leaves_out_modules_the_grid_does_not_use():
+    assert _loaded_after(
+        "import stagbench",
+        ("stagbench.nominal", "stagbench.verify", "stagbench.cli"),
+    ) == []
 
 
 class TestProcessPoolStack:
