@@ -38,7 +38,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from ..core import BestTracker, ObjectiveSpec, RngStream
+from ..core import BestTracker, ObjectiveSpec, RngStream, read_key_values
 
 __all__ = [
     "ALGORITHMS",
@@ -105,19 +105,10 @@ class AlgoState:
 def defaults_table() -> Mapping[str, float]:
     """The shipped defaults table as a flat, read-only {dotted key: value}
     mapping, parsed once per process."""
-    text = (
-        resources.files("stagbench").joinpath("data/algorithm_defaults.txt")
-    ).read_text(encoding="utf-8")
-    table = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"defaults table line {lineno} is not key = value: {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        table[key] = float(val)
-    return MappingProxyType(table)
+    path = "data/algorithm_defaults.txt"
+    text = resources.files("stagbench").joinpath(path).read_text(encoding="utf-8")
+    entries = read_key_values(text.splitlines(), path)
+    return MappingProxyType({key: float(val) for _, key, val in entries})
 
 
 def default_params(

@@ -38,6 +38,7 @@ __all__ = [
     "optimum",
     "optima",
     "fd_gradient",
+    "FD_STEP",
     "objective",
     "sphere_objective",
 ]
@@ -131,40 +132,31 @@ def optima(name: str, dim: int) -> tuple:
     return tuple(points)
 
 
-_FD_STENCILS = {
-    2: (np.array([1.0, -1.0]), np.array([1.0, -1.0]) / 2.0),
-    4: (np.array([2.0, 1.0, -1.0, -2.0]), np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0),
-    6: (
-        np.array([3.0, 2.0, 1.0, -1.0, -2.0, -3.0]),
-        np.array([1.0, -9.0, 45.0, -45.0, 9.0, -1.0]) / 60.0,
-    ),
-}
+FD_STEP = 1e-7
+# The 6th-order central stencil: offsets in units of FD_STEP, and weights.
+_FD_OFFSETS = np.array([3.0, 2.0, 1.0, -1.0, -2.0, -3.0])
+_FD_WEIGHTS = np.array([1.0, -9.0, 45.0, -45.0, 9.0, -1.0]) / 60.0
 
 
-def fd_gradient(name: str, x, h: float = 1e-7, order: int = 6) -> np.ndarray:
+def fd_gradient(name: str, x) -> np.ndarray:
     """Central-difference gradient oracle, independent of the analytic code.
 
-    Uses one batched evaluation of the stencil points ``x + k*h*e_i``.  The
-    default 6th-order stencil is needed at h = 1e-7: the sine terms reach
-    local frequencies near 2e6 per unit coordinate, so the 2nd-order formula
-    carries relative truncation error up to ~1e-2 on zhou2/zhou3, far above
-    what the 6th-order formula leaves (~1e-7).
+    Uses one batched evaluation of the stencil points ``x + k*h*e_i`` with
+    ``h = FD_STEP``.  The 6th-order stencil is needed at h = 1e-7: the sine
+    terms reach local frequencies near 2e6 per unit coordinate, so the
+    2nd-order formula carries relative truncation error up to ~1e-2 on
+    zhou2/zhou3, far above what the 6th-order formula leaves (~1e-7).
     """
     x = as_point(x)
     _check_dim(x.size)
-    if not h > 0.0:
-        raise ValueError("finite-difference step h must be positive")
-    if order not in _FD_STENCILS:
-        raise ValueError(f"order must be one of {sorted(_FD_STENCILS)}")
-    offsets, weights = _FD_STENCILS[order]
     dim = x.size
-    k = offsets.size
+    k = _FD_OFFSETS.size
     rows = np.arange(k * dim)
     cols = np.repeat(np.arange(dim), k)
     X = np.repeat(x[None, :], k * dim, axis=0)
-    X[rows, cols] += np.tile(offsets, dim) * h
+    X[rows, cols] += np.tile(_FD_OFFSETS, dim) * FD_STEP
     f = value_batch(name, X)
-    return (f.reshape(dim, k) @ weights) / h
+    return (f.reshape(dim, k) @ _FD_WEIGHTS) / FD_STEP
 
 
 def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:

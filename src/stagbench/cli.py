@@ -29,7 +29,7 @@ import numpy as np
 
 from . import algorithms as algos
 from . import benchmarks, harness, nominal, verify
-from .core import derive_stream, euclidean_norm
+from .core import derive_stream, euclidean_norm, read_key_values
 from .harness import ExperimentConfig, format_float
 
 __all__ = ["main", "parse_config", "CliConfig", "CONFIG_KEYS"]
@@ -93,15 +93,7 @@ def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into a {key: raw string} dict."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}"
-                )
-            key, val = (part.strip() for part in line.split("=", 1))
+        for lineno, key, val in read_key_values(fh, path):
             if key not in CONFIG_KEYS:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key {key!r}; "
@@ -133,18 +125,18 @@ def parse_config(
             kwargs["T_values"] = tuple(int(t) for t in _parse_list(raw["T"]))
         except ValueError:
             raise ValueError(f"T must be a comma-separated integer list, got {raw['T']!r}")
-    for key, attr, conv in (
-        ("runs", "runs", int),
-        ("dim", "dim", int),
-        ("base_seed", "base_seed", int),
-        ("max_generations", "max_generations", int),
-        ("stationarity_threshold", "stationarity_threshold", float),
+    for key, conv, kind in (
+        ("runs", int, "an integer"),
+        ("dim", int, "an integer"),
+        ("base_seed", int, "an integer"),
+        ("max_generations", int, "an integer"),
+        ("stationarity_threshold", float, "a number"),
     ):
         if key in raw:
             try:
-                kwargs[attr] = conv(raw[key])
+                kwargs[key] = conv(raw[key])
             except (TypeError, ValueError):
-                raise ValueError(f"{key} must be a {conv.__name__}, got {raw[key]!r}")
+                raise ValueError(f"{key} must be {kind}, got {raw[key]!r}")
     if "bounds" in raw:
         parts = _parse_list(raw["bounds"])
         try:

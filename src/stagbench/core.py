@@ -2,16 +2,17 @@
 
 Search points are plain 1-D float64 numpy arrays throughout the package;
 populations are (n, dim) arrays.  This module provides the box-bounds type,
-the objective-function container, deterministic labelled RNG streams, and
-the monotone best-so-far tracker that every optimizer shares; a run folds
-each evaluated batch into its tracker in place.
+the objective-function container, deterministic labelled RNG streams, the
+monotone best-so-far tracker that every optimizer shares (a run folds each
+evaluated batch into its tracker in place), and the reader of the flat
+``key = value`` text that the defaults table and experiment config files use.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "as_point",
     "derive_stream",
     "euclidean_norm",
+    "read_key_values",
 ]
 
 
@@ -59,6 +61,22 @@ def euclidean_norm(v: np.ndarray) -> float:
         if np.isinf(norm) and np.isfinite(v).all():
             norm = float(np.hypot.reduce(v, initial=0.0))
     return norm
+
+
+def read_key_values(lines: Iterable[str], source: str) -> Iterator[tuple]:
+    """Yield stripped ``(lineno, key, value)`` for each ``key = value`` line,
+    skipping blank lines and ``#`` comments; a line without ``=`` raises
+    ValueError located as ``source:lineno``."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(
+                f"{source}:{lineno}: expected key = value, got {raw.rstrip()!r}"
+            )
+        key, val = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,18 +124,14 @@ class Bounds:
         # The method skips np.clip's Python dispatch layers; same ufunc.
         return np.asarray(x).clip(self.lo, self.hi)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
     """An evaluatable objective with analytic gradient over a box.
 
     `batch_evaluator` maps an (n, dim) array to (n,) values and
-    `batch_gradient` maps it to (n, dim) gradients; `value` and `grad` read
-    a batch of one.  Evaluators must be deterministic and bounded below on
-    the domain.
+    `batch_gradient` maps it to (n, dim) gradients; `grad` reads a batch of
+    one.  Evaluators must be deterministic and bounded below on the domain.
     """
 
     name: str
@@ -131,9 +145,6 @@ class ObjectiveSpec:
             raise ValueError("objective dimension must be >= 1")
         if self.domain.dim != self.dim:
             raise ValueError("domain dimension does not match objective dimension")
-
-    def value(self, p: np.ndarray) -> float:
-        return float(self.value_batch(as_point(p, self.dim)[None, :])[0])
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

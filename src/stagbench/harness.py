@@ -64,6 +64,14 @@ TERMINATION_STAGNATION = "stagnation"
 TERMINATION_CAP = "generation_cap"
 
 
+def _integer(field: str, value) -> int:
+    """`value` as an int; anything but an int or a numpy integer (a bool is
+    not one) raises ValueError naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The full grid specification plus run-control knobs."""
@@ -81,9 +89,15 @@ class ExperimentConfig:
     capture_curves: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "T_values", tuple(int(t) for t in self.T_values))
+        for key in ("functions", "algorithms"):
+            names = getattr(self, key)
+            if isinstance(names, str):
+                raise ValueError(f"{key} must be a sequence of names, got {names!r}")
+            object.__setattr__(self, key, tuple(names))
+        for key in ("runs", "dim", "max_generations", "base_seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
+        T_values = tuple(_integer("every T", t) for t in self.T_values)
+        object.__setattr__(self, "T_values", T_values)
         for f in self.functions:
             if f not in FUNCTIONS:
                 raise ValueError(f"unknown function {f!r}; expected one of {FUNCTIONS}")

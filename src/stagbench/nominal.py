@@ -4,9 +4,10 @@ The update rule moves an individual a fraction ``alpha`` of the way toward a
 partner: ``x_i' = x_i + alpha * (x_j - x_i)``.  When both partners move
 (``pair_step``) the pair's separation scales by exactly ``1 - 2*alpha`` each
 step, so the pair contracts iff ``0 < alpha < 1``.  When the partner is
-frozen (``stagnant_step``) the separation scales by ``1 - alpha`` and the
-stability region widens to ``0 < alpha < 2`` — a stagnant partner *helps*
-convergence for ``alpha`` in ``(1, 2)``.
+frozen (listed in ``NominalConfig.stagnant_set``) only the other individual
+takes its half of ``pair_step``; the separation then scales by
+``1 - alpha`` and the stability region widens to ``0 < alpha < 2`` — a
+stagnant partner *helps* convergence for ``alpha`` in ``(1, 2)``.
 
 ``simulate`` runs the N-individual generalization under one of two pairing
 schemes as array code: each step is one update of all pairs at once, the
@@ -31,7 +32,6 @@ __all__ = [
     "NominalConfig",
     "InsufficientDataError",
     "pair_step",
-    "stagnant_step",
     "simulate",
     "diameter",
     "measured_contraction",
@@ -98,15 +98,6 @@ def pair_step(xi, xj, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
     return xi + delta, xj - delta
 
 
-def stagnant_step(xi, xj_frozen, alpha: float) -> np.ndarray:
-    """One update against a frozen partner: only `xi` moves.
-
-    This is the moving half of `pair_step`; the separation
-    ``xi - xj_frozen`` scales by ``1 - alpha``.
-    """
-    return pair_step(xi, xj_frozen, alpha)[0]
-
-
 def diameter(positions: np.ndarray) -> float:
     """Max pairwise Euclidean distance within a population (N, dim).
 
@@ -133,7 +124,7 @@ def simulate(
     `pair_step`; with an odd population the unmatched individual stays put.
     Under ``ring`` every individual moves toward its successor's previous
     position simultaneously.  Stagnant individuals never move, so a mobile
-    individual matched to one makes exactly its `stagnant_step`.  A
+    individual matched to one takes only its own half of `pair_step`.  A
     divergent run raises ValueError at the first step whose diameter is
     not a finite float64.
     """

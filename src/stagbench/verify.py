@@ -1,8 +1,9 @@
 """Self-verification suite for the exact-dynamics and gradient claims.
 
-Each check returns (name, passed, detail); the CLI `verify` subcommand
-prints one line per check and exits non-zero if any fail.  The checks mirror
-the package's core mathematical claims:
+Each check returns (name, passed, detail) with `passed` a Python bool; the
+CLI `verify` subcommand prints one line per check and exits non-zero if any
+fail, and the acceptance criteria 1, 2, 4 and 5 assert the same verdicts.
+The checks mirror the package's core mathematical claims:
 
 * two-individual mutual updates contract by exactly |1 - 2*alpha|;
 * against a stagnant partner the factor is |1 - alpha|, so every alpha in
@@ -20,73 +21,87 @@ from typing import List, Tuple
 import numpy as np
 
 from . import benchmarks, nominal
-from .core import derive_stream
+from .core import derive_stream, euclidean_norm
 
 __all__ = ["run_checks"]
 
 THEOREM1_ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 REMARK2_ALPHAS = (1.1, 1.5, 1.9)
-RATIO_TOL = 1e-12
+STEPS = 50
+RATIO_TOL = 1e-12      # contraction factors, theorem 1 and remark 2
+OPT_VALUE_TOL = 1e-8   # |f| at a closed-form optimum
+OPT_GRAD_TOL = 1e-4    # ||grad f|| at a closed-form optimum
+FD_REL_TOL = 1e-3      # gradient oracle where |fd| > 1, relative to |fd|
+FD_ABS_TOL = 1e-2      # gradient oracle where |fd| <= 1, absolute
+
+Verdict = Tuple[str, bool, str]
 
 
-def _mutual_errors(alpha: float, steps: int, seed: int) -> np.ndarray:
+def _sci(x: float) -> str:
+    """`x` in the shortest scientific form, e.g. 1e-8."""
+    return np.format_float_scientific(x, trim="-", exp_digits=1)
+
+
+def _mutual_errors(alpha: float) -> np.ndarray:
     cfg = nominal.NominalConfig(alpha=alpha, n_individuals=2, dim=1)
     # centroid at the origin keeps the per-step rounding error relative to
     # the shrinking separation, not to the (fixed) centroid magnitude
     _, errors = nominal.simulate(
-        cfg, [[-5.0], [5.0]], steps, derive_stream(seed, ["mutual", str(alpha)])
+        cfg, [[-5.0], [5.0]], STEPS, derive_stream(0, ["mutual", str(alpha)])
     )
     return errors
 
 
-def _stagnant_errors(alpha: float, steps: int, seed: int) -> np.ndarray:
+def _stagnant_errors(alpha: float) -> np.ndarray:
     cfg = nominal.NominalConfig(
         alpha=alpha, n_individuals=2, dim=1, stagnant_set=frozenset({1})
     )
     _, errors = nominal.simulate(
-        cfg, [[10.0], [0.0]], steps, derive_stream(seed, ["stagnant", str(alpha)])
+        cfg, [[10.0], [0.0]], STEPS, derive_stream(0, ["stagnant", str(alpha)])
     )
     return errors
 
 
-def check_theorem1(steps: int = 50, seed: int = 0) -> Tuple[str, bool, str]:
+def check_theorem1() -> Verdict:
+    """Every step ratio equals |1 - 2a|; a zero separation stays zero."""
     worst = 0.0
+    zeros_stay = True
     for alpha in THEOREM1_ALPHAS:
-        errors = _mutual_errors(alpha, steps, seed)
+        errors = _mutual_errors(alpha)
+        before, after = errors[:-1], errors[1:]
+        moving = before > 0.0
+        zeros_stay = zeros_stay and not after[~moving].any()
         predicted = nominal.predicted_factor(alpha)
-        for k in range(steps):
-            if errors[k] > 0.0:
-                worst = max(worst, abs(errors[k + 1] / errors[k] - predicted))
-    ok = worst <= RATIO_TOL
+        deviation = np.abs(after[moving] / before[moving] - predicted)
+        worst = max(worst, float(deviation.max(initial=0.0)))
     return (
         "theorem1_contraction",
-        ok,
+        zeros_stay and worst <= RATIO_TOL,
         f"max |step ratio - |1-2a|| = {worst:.3e} over alphas {THEOREM1_ALPHAS}",
     )
 
 
-def check_remark2(steps: int = 50, seed: int = 0) -> Tuple[str, bool, str]:
+def check_remark2() -> Verdict:
     worst = 0.0
-    ok = True
+    ordered = True
     for alpha in REMARK2_ALPHAS:
-        stag = nominal.measured_contraction(_stagnant_errors(alpha, steps, seed))
-        mut = nominal.measured_contraction(_mutual_errors(alpha, steps, seed))
+        stag = nominal.measured_contraction(_stagnant_errors(alpha))
+        mut = nominal.measured_contraction(_mutual_errors(alpha))
         worst = max(
             worst,
             abs(stag - nominal.predicted_factor(alpha, stagnant=True)),
             abs(mut - nominal.predicted_factor(alpha)),
         )
-        ok = ok and stag < 1.0 and mut > 1.0
-    ok = ok and worst <= RATIO_TOL
+        ordered = ordered and stag < 1.0 < mut
     return (
         "remark2_witness",
-        ok,
+        ordered and worst <= RATIO_TOL,
         f"stagnant contracts, mutual expands for alphas {REMARK2_ALPHAS}; "
         f"max factor deviation = {worst:.3e}",
     )
 
 
-def check_optima() -> Tuple[str, bool, str]:
+def check_optima() -> Verdict:
     worst_val = 0.0
     worst_grad = 0.0
     for name in benchmarks.FUNCTIONS:
@@ -94,55 +109,50 @@ def check_optima() -> Tuple[str, bool, str]:
             for point in benchmarks.optima(name, dim):
                 worst_val = max(worst_val, abs(benchmarks.value(name, point)))
                 worst_grad = max(
-                    worst_grad,
-                    float(np.linalg.norm(benchmarks.gradient(name, point))),
+                    worst_grad, euclidean_norm(benchmarks.gradient(name, point))
                 )
-    ok = worst_val <= 1e-8 and worst_grad <= 1e-4
     return (
         "optimum_certificates",
-        ok,
-        f"max |f(opt)| = {worst_val:.3e} (<= 1e-8), "
-        f"max ||grad(opt)|| = {worst_grad:.3e} (<= 1e-4), dims 2..5",
+        worst_val <= OPT_VALUE_TOL and worst_grad <= OPT_GRAD_TOL,
+        f"max |f(opt)| = {worst_val:.3e} (<= {_sci(OPT_VALUE_TOL)}), "
+        f"max ||grad(opt)|| = {worst_grad:.3e} (<= {_sci(OPT_GRAD_TOL)}), "
+        f"dims 2..5",
     )
 
 
-def check_gradient_oracle(
-    points_per_function: int = 100, seed: int = 42, h: float = 1e-7
-) -> Tuple[str, bool, str]:
-    gen = derive_stream(seed, ["fd-check"]).generator()
+def check_gradient_oracle() -> Verdict:
+    points = 100
+    gen = derive_stream(42, ["fd-check"]).generator()
     worst = 0.0
     for name in benchmarks.FUNCTIONS:
-        P = gen.uniform(-2.0, 2.0, size=(points_per_function, 3))
-        for x in P:
+        for x in gen.uniform(-2.0, 2.0, size=(points, 3)):
             analytic = benchmarks.gradient(name, x)
-            fd = benchmarks.fd_gradient(name, x, h=h)
-            tol = np.where(np.abs(fd) > 1.0, 1e-3 * np.abs(fd), 1e-2)
+            fd = benchmarks.fd_gradient(name, x)
+            tol = np.where(np.abs(fd) > 1.0, FD_REL_TOL * np.abs(fd), FD_ABS_TOL)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / tol)))
-    ok = worst <= 1.0
     return (
         "gradient_oracle",
-        ok,
+        worst <= 1.0,
         f"max mixed-tolerance margin = {worst:.3e} (<= 1) at "
-        f"{points_per_function} points/function, h = {h:g}",
+        f"{points} points/function, h = {benchmarks.FD_STEP:g}",
     )
 
 
-def check_ring(seed: int = 0) -> Tuple[str, bool, str]:
-    rng = derive_stream(seed, ["ring-consensus"])
+def check_ring() -> Verdict:
+    rng = derive_stream(0, ["ring-consensus"])
     init = rng.generator().uniform(-100.0, 100.0, size=(8, 3))
     cfg = nominal.NominalConfig(
         alpha=0.5, n_individuals=8, dim=3, pairing="ring"
     )
     _, errors = nominal.simulate(cfg, init, 500, rng)
-    ok = errors[-1] <= 1e-6
     return (
         "ring_consensus",
-        ok,
+        bool(errors[-1] <= 1e-6),
         f"diameter after 500 ring steps = {errors[-1]:.3e} (<= 1e-6)",
     )
 
 
-def run_checks() -> List[Tuple[str, bool, str]]:
+def run_checks() -> List[Verdict]:
     """Run every check and return one (name, passed, detail) per check."""
     return [
         check_theorem1(),

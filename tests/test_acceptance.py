@@ -2,12 +2,15 @@
 
 Each test computes its criterion's quantity with pinned tolerances, prints a
 single ``CRITERION n PASS/FAIL`` line (also echoed in the terminal summary),
-and then asserts.  Criteria:
+and then asserts.  Criteria 1, 2, 4 and 5 are the checks of ``stagbench
+verify``: the test pins the tolerances of ``stagbench.verify``, runs the
+check and prints its detail.  Criteria:
 
 1. Theorem-1 exactness of the 2-individual contraction factor |1-2a|.
 2. Remark-2 witness: for a > 1 the stagnant mode contracts, mutual expands.
 3. Theorem-2 monotonicity of every best-so-far sequence.
-4. Closed-form optimum certificates for dims 2-5, all branches.
+4. Closed-form optimum certificates for dims 2-5, all branches, and the
+   exact zhou1 dim-3 point (1, 2, 8).
 5. Analytic gradient vs central finite difference at h = 1e-7.
 6. Qualitative headline reproduction on the full default grid at T = 100.
 7. Stagnation semantics: last improvement exactly T before termination.
@@ -22,8 +25,8 @@ import pytest
 from conftest import record_criterion
 
 import stagbench.algorithms as algos
-from stagbench import benchmarks, nominal
-from stagbench.benchmarks import fd_gradient, gradient, objective, optimum, sphere_objective
+from stagbench import benchmarks, verify
+from stagbench.benchmarks import objective, optimum, sphere_objective
 from stagbench.core import derive_stream
 from stagbench.harness import (
     TERMINATION_STAGNATION,
@@ -34,12 +37,8 @@ from stagbench.harness import (
 )
 
 # ---------------------------------------------------------------- pinned
-RATIO_TOL = 1e-12            # criteria 1-2
-OPT_VALUE_TOL = 1e-8         # criterion 4
-OPT_GRAD_TOL = 1e-4          # criterion 4
-FD_H = 1e-7                  # criterion 5
-FD_REL_TOL = 1e-3            # criterion 5, |fd| > 1
-FD_ABS_TOL = 1e-2            # criterion 5, |fd| <= 1
+# Criteria 1, 2, 4 and 5 pin the tolerances of stagbench.verify in their
+# tests; these are the other criteria's.
 GRAD_NORM_FLOOR = 1e3        # criterion 6
 STATIONARITY_THRESHOLD = 1e-2  # criterion 6
 SPHERE_TARGET = 1e-3         # criterion 9
@@ -51,58 +50,19 @@ def _check(number: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _two_individual_errors(alpha, init, steps=50, stagnant=()):
-    cfg = nominal.NominalConfig(
-        alpha=alpha,
-        n_individuals=2,
-        dim=1,
-        pairing="mutual_random",
-        stagnant_set=frozenset(stagnant),
-    )
-    _, errors = nominal.simulate(
-        cfg, init, steps, derive_stream(42, ["acceptance", str(alpha)])
-    )
-    return errors
+def _check_verdict(number: int, verdict) -> None:
+    name, ok, detail = verdict
+    _check(number, ok, f"{name}: {detail}")
 
 
 def test_criterion_1_theorem1_exactness():
-    worst = 0.0
-    for alpha in (0.1, 0.25, 0.5, 0.75, 0.9):
-        errors = _two_individual_errors(alpha, [[-5.0], [5.0]])
-        predicted = abs(1.0 - 2.0 * alpha)
-        for k in range(1, errors.size):
-            if errors[k - 1] == 0.0:
-                worst = max(worst, abs(errors[k]))
-                continue
-            worst = max(worst, abs(errors[k] / errors[k - 1] - predicted))
-    _check(
-        1,
-        worst <= RATIO_TOL,
-        f"theorem-1 exactness: max |step ratio - |1-2a|| = {worst:.3e} "
-        f"over a in {{0.1,0.25,0.5,0.75,0.9}}, 50 steps (tol {RATIO_TOL:g})",
-    )
+    assert verify.RATIO_TOL == 1e-12
+    _check_verdict(1, verify.check_theorem1())
 
 
 def test_criterion_2_remark2_witness():
-    worst = 0.0
-    ordered = True
-    for alpha in (1.1, 1.5, 1.9):
-        mutual = _two_individual_errors(alpha, [[-5.0], [5.0]], steps=40)
-        stagnant = _two_individual_errors(
-            alpha, [[10.0], [0.0]], steps=40, stagnant=(1,)
-        )
-        f_mut = nominal.measured_contraction(mutual)
-        f_stag = nominal.measured_contraction(stagnant)
-        worst = max(worst, abs(f_mut - abs(1.0 - 2.0 * alpha)))
-        worst = max(worst, abs(f_stag - abs(1.0 - alpha)))
-        ordered = ordered and (f_stag < 1.0 < f_mut)
-    _check(
-        2,
-        worst <= RATIO_TOL and ordered,
-        f"remark-2 witness: stagnant contracts and mutual expands for "
-        f"a in {{1.1,1.5,1.9}}; max factor deviation = {worst:.3e} "
-        f"(tol {RATIO_TOL:g})",
-    )
+    assert verify.RATIO_TOL == 1e-12
+    _check_verdict(2, verify.check_remark2())
 
 
 def test_criterion_3_monotone_best():
@@ -135,53 +95,22 @@ def test_criterion_3_monotone_best():
 
 
 def test_criterion_4_optimum_certificates():
-    worst_value = 0.0
-    worst_grad = 0.0
+    assert (verify.OPT_VALUE_TOL, verify.OPT_GRAD_TOL) == (1e-8, 1e-4)
+    name, ok, detail = verify.check_optima()
     dim3_point_exact = bool(
         np.array_equal(optimum("zhou1", 3), [1.0, 2.0, 8.0])
     )
-    for name in benchmarks.FUNCTIONS:
-        for dim in (2, 3, 4, 5):
-            for branch in benchmarks.BRANCHES:
-                opt = optimum(name, dim, branch)
-                worst_value = max(worst_value, abs(benchmarks.value(name, opt)))
-                worst_grad = max(
-                    worst_grad, float(np.linalg.norm(gradient(name, opt)))
-                )
-    ok = (
-        worst_value <= OPT_VALUE_TOL
-        and worst_grad <= OPT_GRAD_TOL
-        and dim3_point_exact
-    )
     _check(
         4,
-        ok,
-        f"optimum certificates: max |f| = {worst_value:.3e} "
-        f"(tol {OPT_VALUE_TOL:g}), max ||grad|| = {worst_grad:.3e} "
-        f"(tol {OPT_GRAD_TOL:g}), dims 2-5 all branches; zhou1 dim-3 "
-        f"point is (1,2,8): {dim3_point_exact}",
+        ok and dim3_point_exact,
+        f"{name}: {detail}; zhou1 dim-3 point is (1,2,8): {dim3_point_exact}",
     )
 
 
 def test_criterion_5_gradient_oracle():
-    gen = derive_stream(42, ["fd-check"]).generator()
-    worst = 0.0
-    for name in benchmarks.FUNCTIONS:
-        points = gen.uniform(-2.0, 2.0, size=(100, 3))
-        for x in points:
-            analytic = gradient(name, x)
-            fd = fd_gradient(name, x, h=FD_H)
-            tol = np.where(
-                np.abs(fd) > 1.0, FD_REL_TOL * np.abs(fd), FD_ABS_TOL
-            )
-            worst = max(worst, float(np.max(np.abs(analytic - fd) / tol)))
-    _check(
-        5,
-        worst <= 1.0,
-        f"gradient oracle: max mixed-tolerance margin = {worst:.3e} (<= 1) "
-        f"at 100 seeded points per function in [-2,2]^3, h = {FD_H:g} "
-        f"(rel {FD_REL_TOL:g} above |fd|=1, abs {FD_ABS_TOL:g} below)",
-    )
+    assert benchmarks.FD_STEP == 1e-7
+    assert (verify.FD_REL_TOL, verify.FD_ABS_TOL) == (1e-3, 1e-2)
+    _check_verdict(5, verify.check_gradient_oracle())
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from stagbench import harness
+from stagbench import harness, verify
 from stagbench.cli import CliConfig, main, parse_config, read_config_file
 from stagbench.harness import ExperimentConfig
 
@@ -83,6 +83,12 @@ class TestParseConfig:
     def test_invalid_runs_names_field(self):
         with pytest.raises(ValueError, match="runs"):
             parse_config(None, {"runs": "0"})
+        with pytest.raises(ValueError, match="^runs must be an integer, got '2.5'$"):
+            parse_config(None, {"runs": "2.5"})
+        with pytest.raises(
+            ValueError, match="^stationarity_threshold must be a number, got 'x'$"
+        ):
+            parse_config(None, {"stationarity_threshold": "x"})
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -358,6 +364,40 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
+
+    def test_every_verdict_is_a_bool(self):
+        assert [type(ok) for _, ok, _ in verify.run_checks()] == [bool] * 5
+
+    def test_theorem1_rejects_a_separation_that_reopens(self, monkeypatch):
+        # alpha 0.5 collapses the pair in one step (ratio 0 = |1 - 2a|), so
+        # only the rule that a zero separation stays zero can fail here.
+        def errors(alpha):
+            if alpha == 0.5:
+                return np.array([10.0, 0.0, 1e-300])
+            return 10.0 * abs(1.0 - 2.0 * alpha) ** np.arange(3.0)
+
+        monkeypatch.setattr(verify, "_mutual_errors", errors)
+        _, ok, detail = verify.check_theorem1()
+        assert ok is False
+        worst = float(detail.split(" = ")[1].split()[0])
+        assert worst <= verify.RATIO_TOL
+
+    def test_failing_check_exits_1_and_the_rest_still_print(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            verify, "check_theorem1",
+            lambda: ("theorem1_contraction", False, "forced failure"),
+        )
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "FAIL  theorem1_contraction: forced failure"
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "PASS  remark2_witness",
+            "PASS  optimum_certificates",
+            "PASS  gradient_oracle",
+            "PASS  ring_consensus",
+        ]
 
 
 def _child_env() -> dict:

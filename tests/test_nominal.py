@@ -17,7 +17,6 @@ from stagbench.nominal import (
     pair_step,
     predicted_factor,
     simulate,
-    stagnant_step,
 )
 
 
@@ -80,27 +79,27 @@ class TestPairStep:
         assert ni[0] == 0.0 and nj[0] == 0.0
 
     def test_stagnant_partner_does_not_move(self):
-        moved = stagnant_step(np.array([10.0]), np.array([0.0]), 1.5)
+        # Against a frozen partner only the mover's half of pair_step applies.
+        moved = pair_step(np.array([10.0]), np.array([0.0]), 1.5)[0]
         assert moved[0] == pytest.approx(-5.0)  # overshoots past the target
+        traj, _ = _simulate(1.5, [[10.0], [0.0]], 1, stagnant=(1,))
+        assert np.array_equal(traj[1], [moved, [0.0]])
 
     def test_row_blocks_equal_row_by_row_calls(self):
         gen = np.random.Generator(np.random.PCG64(4))
         A = gen.uniform(-50.0, 50.0, size=(5, 3))
         B = gen.uniform(-50.0, 50.0, size=(5, 3))
         new_a, new_b = pair_step(A, B, 1.3)
-        moved = stagnant_step(A, B, 1.3)
         for i in range(5):
             ai, bi = pair_step(A[i], B[i], 1.3)
             assert np.array_equal(new_a[i], ai)
             assert np.array_equal(new_b[i], bi)
-            assert np.array_equal(moved[i], stagnant_step(A[i], B[i], 1.3))
 
-    @pytest.mark.parametrize("step", (pair_step, stagnant_step))
-    def test_mismatched_shapes_rejected(self, step):
+    def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            step(np.zeros((2, 3)), np.zeros((3, 3)), 0.5)
+            pair_step(np.zeros((2, 3)), np.zeros((3, 3)), 0.5)
         with pytest.raises(ValueError, match="shapes differ"):
-            step(np.zeros(2), np.zeros(3), 0.5)
+            pair_step(np.zeros(2), np.zeros(3), 0.5)
 
 
 class TestDiameter:
