@@ -3,7 +3,7 @@
 Every algorithm is driven the same way::
 
     params = default_params("gwo", dim=3)
-    state = init(params, objective, rng)
+    state = init(params, objective, gen)
     while not done(state):
         state = step(state)
     point, value = best(state)
@@ -38,7 +38,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from ..core import BestTracker, ObjectiveSpec, RngStream, read_key_values
+from ..core import BestTracker, ObjectiveSpec, as_integer, read_key_values
 
 __all__ = [
     "ALGORITHMS",
@@ -89,7 +89,6 @@ class AlgoState:
     best-so-far tracker and counters.  `step` advances the state in place
     and returns it."""
 
-    algorithm: str
     params: ParamSet
     objective: ObjectiveSpec
     population: np.ndarray
@@ -99,6 +98,10 @@ class AlgoState:
     generation: int
     evaluations: int
     gen_rng: np.random.Generator
+
+    @property
+    def algorithm(self) -> str:
+        return self.params.algorithm
 
 
 @functools.cache
@@ -125,6 +128,7 @@ def default_params(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
+    dim = as_integer("dim", dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     table = defaults_table()
@@ -167,19 +171,19 @@ def schedule_fraction(generation: int, horizon: int) -> float:
     return min(1.0, max(0.0, generation / horizon))
 
 
-def init(params: ParamSet, objective: ObjectiveSpec, rng: RngStream) -> AlgoState:
-    """Sample a uniform population in the box, evaluate it, seed the tracker;
-    the algorithm is the one `params` were built for."""
-    algorithm = params.algorithm
-    gen_rng = rng.generator()
+def init(
+    params: ParamSet, objective: ObjectiveSpec, gen: np.random.Generator
+) -> AlgoState:
+    """Sample a uniform population in the box from `gen`, evaluate it and
+    seed the tracker; the state keeps `gen` as its stream, and the algorithm
+    is the one `params` were built for."""
     n, dim = params.pop_size, objective.dim
-    X = gen_rng.uniform(objective.domain.lo, objective.domain.hi, size=(n, dim))
+    X = gen.uniform(objective.domain.lo, objective.domain.hi, size=(n, dim))
     vals = sentinel_values(objective.value_batch(X))
     if not np.isfinite(vals).any():
         raise ValueError("every initial sample evaluated non-finite")
     seed_idx = int(np.argmin(vals))
     state = AlgoState(
-        algorithm=algorithm,
         params=params,
         objective=objective,
         population=X,
@@ -188,16 +192,16 @@ def init(params: ParamSet, objective: ObjectiveSpec, rng: RngStream) -> AlgoStat
         tracker=BestTracker(X[seed_idx], vals[seed_idx]),
         generation=0,
         evaluations=n,
-        gen_rng=gen_rng,
+        gen_rng=gen,
     )
-    state.memory = _module(algorithm).init_memory(state)
+    state.memory = _module(params.algorithm).init_memory(state)
     return state
 
 
 def step(state: AlgoState) -> AlgoState:
     """Advance the state one generation in place and return it: the body
     returns the new population and values, stored here with the count."""
-    state.population, state.values = _module(state.algorithm).step(state)
+    state.population, state.values = _module(state.params.algorithm).step(state)
     state.generation += 1
     return state
 

@@ -17,21 +17,19 @@ Extra dive evaluations are counted in the evaluations total.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import AlgoState, evaluate, schedule_fraction
 
-_LEVY_BETA_SIGMA_CACHE = {}
 
-
+@functools.cache
 def _levy_sigma(beta: float) -> float:
-    if beta not in _LEVY_BETA_SIGMA_CACHE:
-        num = math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
-        den = math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0)
-        _LEVY_BETA_SIGMA_CACHE[beta] = (num / den) ** (1.0 / beta)
-    return _LEVY_BETA_SIGMA_CACHE[beta]
+    num = math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
+    den = math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0)
+    return (num / den) ** (1.0 / beta)
 
 
 def init_memory(state: AlgoState) -> dict:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Bounds, ObjectiveSpec, as_point
+from .core import Bounds, ObjectiveSpec, as_integer, as_point
 from .kernels import GRAD, VALUE
 
 __all__ = [
@@ -55,10 +55,13 @@ def _check_name(name: str) -> str:
     return name
 
 
+_DIM_MESSAGE = "benchmark functions need dim >= 2"
+
+
 def _check_dim(dim: int) -> int:
-    dim = int(dim)
+    dim = as_integer("dim", dim)
     if dim < 2:
-        raise ValueError("benchmark functions need dim >= 2")
+        raise ValueError(_DIM_MESSAGE)
     return dim
 
 
@@ -66,8 +69,8 @@ def _as_batch(name: str, X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
-    if name != "sphere":
-        _check_dim(X.shape[1])
+    if X.shape[1] < 2 and name != "sphere":
+        raise ValueError(_DIM_MESSAGE)
     if not np.isfinite(X).all():
         raise ValueError("batch contains non-finite coordinates")
     return X
@@ -170,7 +173,6 @@ def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> Objective
         raise ValueError("bounds dimension does not match dim")
     return ObjectiveSpec(
         name=name,
-        dim=dim,
         batch_evaluator=lambda X, _n=name: value_batch(_n, X),
         batch_gradient=lambda X, _n=name: gradient_batch(_n, X),
         domain=bounds,
@@ -180,7 +182,7 @@ def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> Objective
 def sphere_objective(dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:
     """The sphere function ``sum(x^2)`` as a smoke-test objective over
     `bounds` (default [-100, 100]^dim)."""
-    dim = int(dim)
+    dim = as_integer("dim", dim)
     if dim < 1:
         raise ValueError("sphere needs dim >= 1")
     if bounds is None:
@@ -189,7 +191,6 @@ def sphere_objective(dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec
         raise ValueError("bounds dimension does not match dim")
     return ObjectiveSpec(
         name="sphere",
-        dim=dim,
         batch_evaluator=lambda X: VALUE["sphere"](_as_batch("sphere", X)),
         batch_gradient=lambda X: GRAD["sphere"](_as_batch("sphere", X)),
         domain=bounds,

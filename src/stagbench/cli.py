@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import algorithms as algos
 from . import benchmarks, harness, nominal, verify
 from .core import derive_stream, euclidean_norm, read_key_values
 from .harness import ExperimentConfig, format_float
@@ -258,15 +257,13 @@ def _cmd_nominal(args) -> int:
             f"--stagnant must be comma-separated integers, got {args.stagnant!r}"
         )
     cfg = nominal.NominalConfig(
-        alpha=args.alpha,
-        n_individuals=args.n,
-        dim=args.dim,
-        pairing=args.pairing,
-        stagnant_set=stagnant,
+        alpha=args.alpha, pairing=args.pairing, stagnant_set=stagnant
     )
-    rng = derive_stream(args.seed, ["nominal"])
-    init = rng.generator().uniform(-100.0, 100.0, size=(args.n, args.dim))
-    _, errors = nominal.simulate(cfg, init, args.steps, rng.child("simulate"))
+    init = derive_stream(args.seed, ["nominal"]).uniform(
+        -100.0, 100.0, size=(args.n, args.dim)
+    )
+    gen = derive_stream(args.seed, ["nominal", "simulate"])
+    _, errors = nominal.simulate(cfg, init, args.steps, gen)
     predicted = nominal.predicted_factor(args.alpha, stagnant=bool(stagnant))
     out = sys.stdout
     out.write("step,diameter,predicted_factor,measured_factor\n")

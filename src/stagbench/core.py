@@ -2,10 +2,12 @@
 
 Search points are plain 1-D float64 numpy arrays throughout the package;
 populations are (n, dim) arrays.  This module provides the box-bounds type,
-the objective-function container, deterministic labelled RNG streams, the
-monotone best-so-far tracker that every optimizer shares (a run folds each
-evaluated batch into its tracker in place), and the reader of the flat
-``key = value`` text that the defaults table and experiment config files use.
+the objective-function container, `derive_stream`, which gives each label
+path under a base seed its own deterministic numpy Generator, the monotone
+best-so-far tracker that every optimizer shares (a run folds each evaluated
+batch into its tracker in place), the reader of the flat ``key = value`` text
+that the defaults table and experiment config files use, and the one integer
+rule for public sizes and seeds.
 """
 
 from __future__ import annotations
@@ -19,13 +21,21 @@ import numpy as np
 __all__ = [
     "Bounds",
     "ObjectiveSpec",
-    "RngStream",
     "BestTracker",
+    "as_integer",
     "as_point",
     "derive_stream",
     "euclidean_norm",
     "read_key_values",
 ]
+
+
+def as_integer(field: str, value) -> int:
+    """`value` as an int; anything but an int or a numpy integer (a bool is
+    not one) raises ValueError naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -131,20 +141,18 @@ class ObjectiveSpec:
 
     `batch_evaluator` maps an (n, dim) array to (n,) values and
     `batch_gradient` maps it to (n, dim) gradients; `grad` reads a batch of
-    one.  Evaluators must be deterministic and bounded below on the domain.
+    one.  Evaluators must be deterministic and bounded below on the domain,
+    whose box fixes the dimension.
     """
 
     name: str
-    dim: int
     batch_evaluator: Callable[[np.ndarray], np.ndarray]
     batch_gradient: Callable[[np.ndarray], np.ndarray]
     domain: Bounds
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("objective dimension must be >= 1")
-        if self.domain.dim != self.dim:
-            raise ValueError("domain dimension does not match objective dimension")
+    @property
+    def dim(self) -> int:
+        return self.domain.dim
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -175,40 +183,18 @@ def _label_word(label) -> int:
     raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic, label-addressed random substream.
+def derive_stream(base_seed: int, labels: Sequence = ()) -> np.random.Generator:
+    """A fresh generator at the origin of the substream that `labels`
+    address under `base_seed`.
 
-    The same (base_seed, label_path) always yields the same generator state,
-    independent of process, thread schedule, or call order; distinct label
-    paths yield independent streams.
+    The same (base_seed, labels) always gives the same draws, independent of
+    process, thread schedule or call order; distinct label paths give
+    independent streams.  The seed words are ``base_seed % 2**64`` and then
+    one word per label.
     """
-
-    base_seed: int
-    label_path: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_seed", int(self.base_seed))
-        object.__setattr__(self, "label_path", tuple(self.label_path))
-        for label in self.label_path:
-            _label_word(label)  # validate types up front
-
-    def child(self, *labels) -> "RngStream":
-        return RngStream(self.base_seed, self.label_path + tuple(labels))
-
-    def seed_sequence(self) -> np.random.SeedSequence:
-        words = [self.base_seed % _U64]
-        words.extend(_label_word(label) for label in self.label_path)
-        return np.random.SeedSequence(words)
-
-    def generator(self) -> np.random.Generator:
-        """A fresh generator at the substream origin (same state every call)."""
-        return np.random.Generator(np.random.PCG64(self.seed_sequence()))
-
-
-def derive_stream(base_seed: int, labels: Sequence = ()) -> RngStream:
-    """Derive the substream addressed by `labels` under `base_seed`."""
-    return RngStream(int(base_seed), tuple(labels))
+    words = [as_integer("base_seed", base_seed) % _U64]
+    words.extend(_label_word(label) for label in labels)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
 @dataclass(eq=False)

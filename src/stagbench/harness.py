@@ -30,6 +30,7 @@ round-trips binary64 exactly.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import os
 from bisect import bisect_right
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import algorithms as algos
 from .benchmarks import FUNCTIONS, objective
-from .core import Bounds, derive_stream, euclidean_norm
+from .core import Bounds, as_integer, derive_stream, euclidean_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -64,12 +65,12 @@ TERMINATION_STAGNATION = "stagnation"
 TERMINATION_CAP = "generation_cap"
 
 
-def _integer(field: str, value) -> int:
-    """`value` as an int; anything but an int or a numpy integer (a bool is
-    not one) raises ValueError naming `field`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
-    return int(value)
+def _sequence(field: str, value, kind: str) -> tuple:
+    """`value` as a tuple; a str or anything not iterable raises ValueError
+    naming `field`."""
+    if isinstance(value, str) or not np.iterable(value):
+        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,22 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("functions", "algorithms"):
-            names = getattr(self, key)
-            if isinstance(names, str):
-                raise ValueError(f"{key} must be a sequence of names, got {names!r}")
-            object.__setattr__(self, key, tuple(names))
+            object.__setattr__(self, key, _sequence(key, getattr(self, key), "names"))
         for key in ("runs", "dim", "max_generations", "base_seed"):
-            object.__setattr__(self, key, _integer(key, getattr(self, key)))
-        T_values = tuple(_integer("every T", t) for t in self.T_values)
+            object.__setattr__(self, key, as_integer(key, getattr(self, key)))
+        T_values = _sequence("T_values", self.T_values, "integers")
+        T_values = tuple(as_integer("every T", t) for t in T_values)
         object.__setattr__(self, "T_values", T_values)
+        for key in ("bounds_lo", "bounds_hi", "stationarity_threshold"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        if not isinstance(self.capture_curves, (bool, np.bool_)):
+            raise ValueError(
+                f"capture_curves must be a bool, got {self.capture_curves!r}"
+            )
+        object.__setattr__(self, "capture_curves", bool(self.capture_curves))
         for f in self.functions:
             if f not in FUNCTIONS:
                 raise ValueError(f"unknown function {f!r}; expected one of {FUNCTIONS}")
@@ -265,12 +274,12 @@ def run_single(
     Overflow and invalid operations raise no floating-point warnings: the
     non-finite values they make are +inf sentinels by design."""
     obj = objective(function, cfg.dim, cfg.domain())
-    rng = derive_stream(cfg.base_seed, (function, algorithm, int(T), int(run_index)))
+    gen = derive_stream(cfg.base_seed, (function, algorithm, int(T), int(run_index)))
     params = algos.default_params(
         algorithm, cfg.dim, schedule_horizon=cfg.max_generations
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        state = algos.init(params, obj, rng)
+        state = algos.init(params, obj, gen)
         state, termination, curve = run_until_stagnation(
             state, T, cfg.max_generations, capture=cfg.capture_curves
         )

@@ -10,7 +10,9 @@ takes its half of ``pair_step``; the separation then scales by
 stagnant partner *helps* convergence for ``alpha`` in ``(1, 2)``.
 
 ``simulate`` runs the N-individual generalization under one of two pairing
-schemes as array code: each step is one update of all pairs at once, the
+schemes as array code.  The initial ``(N, dim)`` population alone fixes N
+and the dimension, and random pairings are drawn from the numpy Generator
+the caller passes.  Each step is one update of all pairs at once, the
 trajectory is one read-only ``(steps + 1, N, dim)`` array, and the
 population diameter (max pairwise distance) is recorded per step.
 ``measured_contraction`` estimates the per-step contraction factor from such
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-
-from .core import RngStream
 
 __all__ = [
     "PAIRINGS",
@@ -51,34 +51,25 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class NominalConfig:
-    """Configuration of an N-individual nominal-dynamics run.
+    """Configuration of a nominal-dynamics run; the initial population
+    handed to `simulate` fixes N and the dimension.
 
     `stagnant_set` lists individuals whose state is frozen for the whole
     run; it must leave at least one individual mobile.
     """
 
     alpha: float
-    n_individuals: int
-    dim: int
     pairing: str = "mutual_random"
     stagnant_set: frozenset = frozenset()
 
     def __post_init__(self):
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if self.n_individuals < 2:
-            raise ValueError("need at least 2 individuals")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if self.pairing not in PAIRINGS:
             raise ValueError(
                 f"unknown pairing {self.pairing!r}; expected one of {PAIRINGS}"
             )
         stagnant = frozenset(int(i) for i in self.stagnant_set)
-        if not all(0 <= i < self.n_individuals for i in stagnant):
-            raise ValueError("stagnant_set indices must lie in [0, n_individuals)")
-        if len(stagnant) >= self.n_individuals:
-            raise ValueError("at least one individual must be mobile")
         object.__setattr__(self, "stagnant_set", stagnant)
 
 
@@ -113,9 +104,10 @@ def simulate(
     cfg: NominalConfig,
     init: Sequence,
     steps: int,
-    rng: RngStream,
+    gen: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Run `steps` updates of the nominal dynamics from `init`.
+    """Run `steps` updates of the nominal dynamics from `init`, an (N, dim)
+    population, drawing the random pairings from `gen`.
 
     Returns the trajectory, a read-only ``(steps + 1, N, dim)`` array
     indexed by step counter, and the diameter sequence aligned with it.
@@ -128,16 +120,24 @@ def simulate(
     divergent run raises ValueError at the first step whose diameter is
     not a finite float64.
     """
+    X = np.array(init, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("init must be an (N, dim) array of points")
+    n, dim = X.shape
+    if n < 2:
+        raise ValueError("need at least 2 individuals")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    if not all(0 <= i < n for i in cfg.stagnant_set):
+        raise ValueError(f"stagnant_set indices must lie in [0, {n})")
+    if len(cfg.stagnant_set) >= n:
+        raise ValueError("at least one individual must be mobile")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    n, alpha = cfg.n_individuals, cfg.alpha
-    X = np.array(init, dtype=np.float64)
-    if X.shape != (n, cfg.dim):
-        raise ValueError(f"init must be {n} points of dimension {cfg.dim}")
     if not np.all(np.isfinite(X)):
         raise ValueError("point coordinates must be finite")
+    alpha = cfg.alpha
     frozen = np.isin(np.arange(n), list(cfg.stagnant_set))
-    gen = rng.generator()
     trajectory = np.empty((steps + 1,) + X.shape, dtype=np.float64)
     trajectory[0] = X
     with np.errstate(over="ignore", invalid="ignore"):

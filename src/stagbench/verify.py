@@ -43,7 +43,7 @@ def _sci(x: float) -> str:
 
 
 def _mutual_errors(alpha: float) -> np.ndarray:
-    cfg = nominal.NominalConfig(alpha=alpha, n_individuals=2, dim=1)
+    cfg = nominal.NominalConfig(alpha=alpha)
     # centroid at the origin keeps the per-step rounding error relative to
     # the shrinking separation, not to the (fixed) centroid magnitude
     _, errors = nominal.simulate(
@@ -53,9 +53,7 @@ def _mutual_errors(alpha: float) -> np.ndarray:
 
 
 def _stagnant_errors(alpha: float) -> np.ndarray:
-    cfg = nominal.NominalConfig(
-        alpha=alpha, n_individuals=2, dim=1, stagnant_set=frozenset({1})
-    )
+    cfg = nominal.NominalConfig(alpha=alpha, stagnant_set=frozenset({1}))
     _, errors = nominal.simulate(
         cfg, [[10.0], [0.0]], STEPS, derive_stream(0, ["stagnant", str(alpha)])
     )
@@ -122,7 +120,7 @@ def check_optima() -> Verdict:
 
 def check_gradient_oracle() -> Verdict:
     points = 100
-    gen = derive_stream(42, ["fd-check"]).generator()
+    gen = derive_stream(42, ["fd-check"])
     worst = 0.0
     for name in benchmarks.FUNCTIONS:
         for x in gen.uniform(-2.0, 2.0, size=(points, 3)):
@@ -139,12 +137,11 @@ def check_gradient_oracle() -> Verdict:
 
 
 def check_ring() -> Verdict:
-    rng = derive_stream(0, ["ring-consensus"])
-    init = rng.generator().uniform(-100.0, 100.0, size=(8, 3))
-    cfg = nominal.NominalConfig(
-        alpha=0.5, n_individuals=8, dim=3, pairing="ring"
-    )
-    _, errors = nominal.simulate(cfg, init, 500, rng)
+    # Ring pairing draws nothing, so `simulate` takes the stream `init` used.
+    gen = derive_stream(0, ["ring-consensus"])
+    init = gen.uniform(-100.0, 100.0, size=(8, 3))
+    cfg = nominal.NominalConfig(alpha=0.5, pairing="ring")
+    _, errors = nominal.simulate(cfg, init, 500, gen)
     return (
         "ring_consensus",
         bool(errors[-1] <= 1e-6),

@@ -33,7 +33,6 @@ class CountingObjective:
 
         self.spec = ObjectiveSpec(
             name=inner.name,
-            dim=inner.dim,
             batch_evaluator=counted,
             batch_gradient=inner.batch_gradient,
             domain=inner.domain,
@@ -82,6 +81,15 @@ class TestParamSet:
         with pytest.raises(ValueError):
             algos.default_params("cmaes", 3)
 
+    @pytest.mark.parametrize("dim", (2.5, 3.0, True, "3"))
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            algos.default_params("lshade", dim)
+
+    def test_numpy_integer_dim_gives_an_int_size(self):
+        params = algos.default_params("lshade", np.int64(3))
+        assert params.pop_size == 54 and type(params.pop_size) is int
+
 
 class TestHelpers:
     def test_sentinel_values_masks_non_finite(self):
@@ -101,7 +109,6 @@ class TestHelpers:
         state = _fresh_state("gwo", sphere_objective(2))
         state.objective = ObjectiveSpec(
             name="table",
-            dim=2,
             batch_evaluator=table,
             batch_gradient=lambda X: np.zeros_like(X),
             domain=Bounds.cube(-1.0, 1.0, 2),
@@ -170,6 +177,7 @@ class TestDrawEquivalences:
 class TestUniformInterface:
     def test_init_shape_and_accounting(self, algorithm):
         state = _fresh_state(algorithm)
+        assert state.algorithm == algorithm
         n = state.params.pop_size
         assert state.population.shape == (n, 3)
         assert state.values.shape == (n,)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stagbench import benchmarks
-from stagbench.core import Bounds, derive_stream
+from stagbench.core import Bounds
 
 
 class TestOptima:
@@ -67,6 +67,14 @@ class TestOptima:
         with pytest.raises(ValueError):
             benchmarks.optimum("zhou1", 1)
 
+    @pytest.mark.parametrize("dim", (2.5, 3.0, True, "3"))
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            benchmarks.optimum("zhou1", dim)
+
+    def test_numpy_integer_dim_accepted(self):
+        assert np.array_equal(benchmarks.optimum("zhou1", np.int64(3)), [1.0, 2.0, 8.0])
+
 
 class TestEvaluators:
     def test_unknown_name_rejected(self):
@@ -115,6 +123,11 @@ class TestFdGradient:
 
 
 class TestObjectiveFactory:
+    @pytest.mark.parametrize("dim", (2.5, 3.0, True, "3"))
+    def test_non_integer_dim_rejected(self, dim):
+        with pytest.raises(ValueError, match="^dim must be an integer"):
+            benchmarks.objective("zhou1", dim)
+
     @pytest.mark.parametrize("name", benchmarks.FUNCTIONS)
     def test_objective_wires_kernels(self, name):
         obj = benchmarks.objective(name, 3)

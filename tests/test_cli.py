@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.metadata
 import os
 import shutil
@@ -165,6 +166,31 @@ class TestNominalCommand:
             "nominal", "--alpha", "0.5", "--n", "2", "--stagnant", "0,1",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--n", "1"], "need at least 2 individuals"),
+            (["--dim", "0"], "dim must be >= 1"),
+            (["--stagnant", "0,1"], "at least one individual must be mobile"),
+            (["--stagnant", "2"], "stagnant_set indices must lie in [0, 2)"),
+            (["--n", "-1"], "negative dimensions are not allowed"),
+            (["--dim", "-2"], "negative dimensions are not allowed"),
+        ),
+    )
+    def test_bad_population_fails_in_one_line(self, capsys, flags, message):
+        assert main(["nominal", "--alpha", "0.5", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_output_is_pinned(self, capsys):
+        # Pins both streams the command draws from: the initial population
+        # from ["nominal"] and the pairings from ["nominal", "simulate"].
+        argv = ["--alpha", "0.3", "--n", "7", "--dim", "3", "--steps", "40"]
+        assert main(["nominal", *argv]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "4a07df4ab46470c88678383e31abe75bf94c1b707aa7567f7f1b9f68bd6295b4"
+        )
 
     def test_bad_stagnant_exits_2_and_names_flag(self, capsys):
         assert main(["nominal", "--alpha", "0.5", "--stagnant", "a"]) == 2

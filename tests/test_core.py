@@ -85,29 +85,41 @@ class TestBounds:
 
 class TestRngStreams:
     def test_same_labels_same_draws(self):
-        a = derive_stream(42, ["zhou1", "gwo", 100, 0]).generator().random(5)
-        b = derive_stream(42, ["zhou1", "gwo", 100, 0]).generator().random(5)
+        a = derive_stream(42, ["zhou1", "gwo", 100, 0]).random(5)
+        b = derive_stream(42, ["zhou1", "gwo", 100, 0]).random(5)
         assert np.array_equal(a, b)
 
+    def test_draws_are_pinned(self):
+        # The stream a grid run draws from; a change here moves every grid.
+        draws = derive_stream(42, ["zhou1", "gwo", 100, 0]).random(3)
+        assert draws.tolist() == [
+            0.8526487748515433, 0.6377894063555264, 0.9143554610431562,
+        ]
+
     def test_label_order_matters(self):
-        a = derive_stream(42, ["x", "y"]).generator().random(5)
-        b = derive_stream(42, ["y", "x"]).generator().random(5)
+        a = derive_stream(42, ["x", "y"]).random(5)
+        b = derive_stream(42, ["y", "x"]).random(5)
         assert not np.array_equal(a, b)
 
     def test_run_index_separates_streams(self):
-        a = derive_stream(42, ["f", "a", 100, 0]).generator().random(5)
-        b = derive_stream(42, ["f", "a", 100, 1]).generator().random(5)
+        a = derive_stream(42, ["f", "a", 100, 0]).random(5)
+        b = derive_stream(42, ["f", "a", 100, 1]).random(5)
         assert not np.array_equal(a, b)
 
     def test_child_stream_differs_from_parent(self):
-        s = derive_stream(7, ["root"])
-        a = s.generator().random(4)
-        b = s.child("sub").generator().random(4)
+        # A longer label path gives a different stream.
+        a = derive_stream(7, ["root"]).random(4)
+        b = derive_stream(7, ["root", "sub"]).random(4)
         assert not np.array_equal(a, b)
 
-    def test_generator_calls_restart_at_origin(self):
-        s = derive_stream(7, ["root"])
-        assert np.array_equal(s.generator().random(4), s.generator().random(4))
+    @pytest.mark.parametrize("seed", (1.5, True, np.True_, "1", None))
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^base_seed must be an integer"):
+            derive_stream(seed, ["root"])
+
+    def test_numpy_integer_seed_accepted(self):
+        a = derive_stream(np.int64(7), ["root"]).random(4)
+        assert np.array_equal(a, derive_stream(7, ["root"]).random(4))
 
     def test_float_label_rejected(self):
         with pytest.raises(TypeError):
@@ -118,8 +130,8 @@ class TestRngStreams:
             derive_stream(42, [True])
 
     def test_string_and_int_labels_distinct(self):
-        a = derive_stream(42, ["1"]).generator().random(3)
-        b = derive_stream(42, [1]).generator().random(3)
+        a = derive_stream(42, ["1"]).random(3)
+        b = derive_stream(42, [1]).random(3)
         assert not np.array_equal(a, b)
 
 
@@ -208,7 +220,6 @@ class TestObjectiveSpec:
     def _quad():
         return ObjectiveSpec(
             name="quad",
-            dim=2,
             batch_evaluator=lambda X: np.einsum("ij,ij->i", X, X),
             batch_gradient=lambda X: 2.0 * X,
             domain=Bounds.cube(-1.0, 1.0, 2),
@@ -230,12 +241,5 @@ class TestObjectiveSpec:
         assert np.allclose(grads, 2.0 * X)
         assert np.array_equal(np.stack([spec.grad(x) for x in X]), grads)
 
-    def test_domain_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ObjectiveSpec(
-                name="bad",
-                dim=3,
-                batch_evaluator=lambda X: np.zeros(len(X)),
-                batch_gradient=lambda X: X * 0.0,
-                domain=Bounds.cube(-1.0, 1.0, 2),
-            )
+    def test_dim_is_the_domain_dim(self):
+        assert self._quad().dim == 2

@@ -27,7 +27,6 @@ from stagbench.harness import (
     run_experiment,
     run_single,
     run_until_stagnation,
-    summarize,
     write_curves,
     write_records,
     write_summary,
@@ -58,6 +57,13 @@ NON_INTEGERS_AND_BARE_NAMES = (
     dict(T_values=(np.True_,)),
     dict(functions="zhou1"),
     dict(algorithms="gwo"),
+    dict(capture_curves="no"),
+    dict(stationarity_threshold=True),
+    dict(bounds_lo=True),
+    dict(stationarity_threshold="0.1"),
+    dict(bounds_lo="a"),
+    dict(T_values=5),
+    dict(functions=None),
 )
 
 
@@ -93,8 +99,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", NON_INTEGERS_AND_BARE_NAMES)
     def test_wrong_type_names_the_field(self, bad):
-        (field,) = bad
-        named = "every T" if field == "T_values" else field
+        ((field, value),) = bad.items()
+        named = "every T" if field == "T_values" and np.iterable(value) else field
         with pytest.raises(ValueError, match=f"^{named} must be "):
             ExperimentConfig(**bad)
 
@@ -106,6 +112,20 @@ class TestConfigValidation:
         assert cfg == _small_cfg(base_seed=7)
         fields = (cfg.runs, cfg.dim, cfg.max_generations, cfg.base_seed, *cfg.T_values)
         assert {type(value) for value in fields} == {int}
+
+    def test_numpy_floats_and_bools_accepted(self):
+        cfg = _small_cfg(
+            bounds_lo=np.float64(-10.0), bounds_hi=np.float32(10.0),
+            stationarity_threshold=np.float64(0.5), capture_curves=np.True_,
+        )
+        assert cfg == _small_cfg(
+            bounds_lo=-10.0, bounds_hi=10.0, stationarity_threshold=0.5,
+            capture_curves=True,
+        )
+        fields = (cfg.bounds_lo, cfg.bounds_hi, cfg.stationarity_threshold)
+        assert {type(value) for value in fields} == {float}
+        assert type(cfg.capture_curves) is bool
+        assert type(_small_cfg(bounds_lo=-10).bounds_lo) is float
 
     def test_box_wider_than_float64_rejected_up_front(self):
         with pytest.raises(ValueError, match="bounds must have a finite width"):

@@ -20,31 +20,24 @@ from stagbench.nominal import (
 )
 
 
-def _simulate(alpha, init, steps, *, n=None, dim=None, pairing="mutual_random",
-              stagnant=(), seed=0):
-    init = np.asarray(init, dtype=np.float64)
+def _simulate(alpha, init, steps, *, pairing="mutual_random", stagnant=(), seed=0):
     cfg = NominalConfig(
-        alpha=alpha,
-        n_individuals=n or init.shape[0],
-        dim=dim or init.shape[1],
-        pairing=pairing,
-        stagnant_set=frozenset(stagnant),
+        alpha=alpha, pairing=pairing, stagnant_set=frozenset(stagnant)
     )
     return simulate(cfg, init, steps, derive_stream(seed, ["nominal-test"]))
 
 
-def _reference_simulate(cfg, init, steps, rng):
+def _reference_simulate(cfg, init, steps, gen):
     """The per-pair loop that `simulate` replaced, kept as its reference:
     one Python update per pair, and a stagnant partner handled by its own
     branch."""
     X = np.array(init, dtype=np.float64)
-    gen = rng.generator()
     stagnant = cfg.stagnant_set
     trajectory = [X]
     for _ in range(steps):
         new = X.copy()
         if cfg.pairing == "mutual_random":
-            order = gen.permutation(cfg.n_individuals)
+            order = gen.permutation(X.shape[0])
             for a, b in zip(order[0::2], order[1::2]):
                 a, b = int(a), int(b)
                 if a in stagnant and b in stagnant:
@@ -163,11 +156,8 @@ class TestStagnantMode:
         assert np.allclose(traj[-1][0], [6.0, 8.0], atol=1e-6)
 
     def test_all_stagnant_rejected(self):
-        with pytest.raises(ValueError):
-            NominalConfig(
-                alpha=0.5, n_individuals=2, dim=1,
-                pairing="mutual_random", stagnant_set=frozenset({0, 1}),
-            )
+        with pytest.raises(ValueError, match="at least one individual must be mobile"):
+            _simulate(0.5, [[0.0], [1.0]], 5, stagnant=(0, 1))
 
 
 class TestPopulationPairings:
@@ -218,16 +208,15 @@ class TestArrayDynamics:
         for i in range(240):
             n = int(gen.integers(2, 9))
             size = int(gen.integers(0, n))
+            dim = int(gen.integers(1, 4))
             cfg = NominalConfig(
                 alpha=float(alphas[i % len(alphas)]),
-                n_individuals=n,
-                dim=int(gen.integers(1, 4)),
                 pairing=PAIRINGS[(i // len(alphas)) % 2],
                 stagnant_set=frozenset(
                     int(j) for j in gen.choice(n, size=size, replace=False)
                 ),
             )
-            init = gen.uniform(-100.0, 100.0, size=(n, cfg.dim))
+            init = gen.uniform(-100.0, 100.0, size=(n, dim))
             steps = int(gen.integers(1, 60))
             traj, errors = simulate(cfg, init, steps, derive_stream(i, ["ref"]))
             ref_traj, ref_errors = _reference_simulate(
@@ -276,18 +265,20 @@ class TestMeasuredContraction:
 class TestConfigValidation:
     def test_unknown_pairing_rejected(self):
         with pytest.raises(ValueError):
-            NominalConfig(alpha=0.5, n_individuals=2, dim=1, pairing="star")
+            NominalConfig(alpha=0.5, pairing="star")
 
     def test_stagnant_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            NominalConfig(
-                alpha=0.5, n_individuals=2, dim=1,
-                pairing="mutual_random", stagnant_set=frozenset({5}),
-            )
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            _simulate(0.5, [[0.0], [1.0]], 5, stagnant=(5,))
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            _simulate(0.5, [[0.0], [1.0]], 5, stagnant=(-1,))
 
-    def test_simulate_init_shape_checked(self):
-        cfg = NominalConfig(
-            alpha=0.5, n_individuals=3, dim=2, pairing="mutual_random"
-        )
-        with pytest.raises(ValueError):
-            simulate(cfg, np.zeros((2, 2)), 5, derive_stream(0, []))
+    def test_init_fixes_population_size_and_dim(self):
+        with pytest.raises(ValueError, match="need at least 2 individuals"):
+            _simulate(0.5, np.zeros((1, 2)), 5)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            _simulate(0.5, np.zeros((2, 0)), 5)
+        with pytest.raises(ValueError, match=r"\(N, dim\) array"):
+            _simulate(0.5, np.zeros(3), 5)
+        traj, _ = _simulate(0.5, np.zeros((3, 4)), 2)
+        assert traj.shape == (3, 3, 4)
