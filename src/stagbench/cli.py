@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 verification checks failed, 2 usage or validation
 error, 3 I/O error, 130 interrupted (Ctrl-C).
 
 Experiment configuration is a flat ``key = value`` file (lists
-comma-separated); command-line flags override file values.  Recognized
-keys: functions, algorithms, T, runs, dim, bounds, base_seed,
-max_generations, stationarity_threshold, workers, output_dir, curves.
+comma-separated); command-line flags override file values.  The
+recognized keys are ``CONFIG_KEYS``, in the order of the table that parses
+them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,25 +32,6 @@ from .core import derive_stream, euclidean_norm, read_key_values
 from .harness import ExperimentConfig, format_float
 
 __all__ = ["main", "parse_config", "CliConfig", "CONFIG_KEYS"]
-
-CONFIG_KEYS = (
-    "functions",
-    "algorithms",
-    "T",
-    "runs",
-    "dim",
-    "bounds",
-    "base_seed",
-    "max_generations",
-    "stationarity_threshold",
-    "workers",
-    "output_dir",
-    "curves",
-)
-
-_BOOL_TRUE = ("1", "true", "yes", "on")
-_BOOL_FALSE = ("0", "false", "no", "off")
-
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -75,21 +56,54 @@ class CliConfig:
         return min(self.workers, cpus) if self.workers > 0 else cpus
 
 
-def _parse_bool(key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in _BOOL_TRUE:
-        return True
-    if low in _BOOL_FALSE:
-        return False
-    raise ValueError(f"{key} must be a boolean, got {text!r}")
-
-
-def _parse_list(text: str) -> List[str]:
+def _parse_list(text) -> List[str]:
     return [part.strip() for part in str(text).split(",") if part.strip()]
 
 
+def _integers(text) -> tuple:
+    return tuple(int(t) for t in _parse_list(text))
+
+
+def _pair(text) -> tuple:
+    lo, hi = (float(p) for p in _parse_list(text))
+    return lo, hi
+
+
+_BOOL_TRUE = ("1", "true", "yes", "on")
+_BOOL_FALSE = ("0", "false", "no", "off")
+
+
+def _boolean(text) -> bool:
+    low = str(text).strip().lower()
+    if low not in _BOOL_TRUE + _BOOL_FALSE:
+        raise ValueError(text)
+    return low in _BOOL_TRUE
+
+
+# Config key -> (the fields it sets, its parser, what its value must be).
+# `workers` and `output_dir` are CliConfig fields; the rest go to
+# ExperimentConfig.
+_CONFIG_TABLE = {
+    "functions": (("functions",), _parse_list, "a comma-separated name list"),
+    "algorithms": (("algorithms",), _parse_list, "a comma-separated name list"),
+    "T": (("T_values",), _integers, "a comma-separated integer list"),
+    "runs": (("runs",), int, "an integer"),
+    "dim": (("dim",), int, "an integer"),
+    "bounds": (("bounds_lo", "bounds_hi"), _pair, "'lo,hi' numbers"),
+    "base_seed": (("base_seed",), int, "an integer"),
+    "max_generations": (("max_generations",), int, "an integer"),
+    "stationarity_threshold": (("stationarity_threshold",), float, "a number"),
+    "workers": (("workers",), int, "an integer"),
+    "output_dir": (("output_dir",), str, "a path"),
+    "curves": (("capture_curves",), _boolean, "a boolean"),
+}
+CONFIG_KEYS = tuple(_CONFIG_TABLE)
+
+
 def read_config_file(path: str) -> dict:
-    """Parse a flat key=value config file into a {key: raw string} dict."""
+    """Parse a flat key=value config file into a {key: raw string} dict;
+    an unknown key or one set twice raises ValueError located as
+    ``path:lineno``."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, key, val in read_key_values(fh, path):
@@ -98,6 +112,8 @@ def read_config_file(path: str) -> dict:
                     f"{path}:{lineno}: unknown key {key!r}; "
                     f"recognized keys: {', '.join(CONFIG_KEYS)}"
                 )
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
             values[key] = val
     return values
 
@@ -115,51 +131,15 @@ def parse_config(
         raw[key] = val
 
     kwargs = {}
-    if "functions" in raw:
-        kwargs["functions"] = tuple(_parse_list(raw["functions"]))
-    if "algorithms" in raw:
-        kwargs["algorithms"] = tuple(_parse_list(raw["algorithms"]))
-    if "T" in raw:
-        try:
-            kwargs["T_values"] = tuple(int(t) for t in _parse_list(raw["T"]))
-        except ValueError:
-            raise ValueError(f"T must be a comma-separated integer list, got {raw['T']!r}")
-    for key, conv, kind in (
-        ("runs", int, "an integer"),
-        ("dim", int, "an integer"),
-        ("base_seed", int, "an integer"),
-        ("max_generations", int, "an integer"),
-        ("stationarity_threshold", float, "a number"),
-    ):
+    for key, (targets, parse, kind) in _CONFIG_TABLE.items():
         if key in raw:
             try:
-                kwargs[key] = conv(raw[key])
+                value = parse(raw[key])
             except (TypeError, ValueError):
-                raise ValueError(f"{key} must be {kind}, got {raw[key]!r}")
-    if "bounds" in raw:
-        parts = _parse_list(raw["bounds"])
-        try:
-            kwargs["bounds_lo"], kwargs["bounds_hi"] = (float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"bounds must be 'lo,hi' numbers, got {raw['bounds']!r}")
-    if "curves" in raw:
-        val = raw["curves"]
-        kwargs["capture_curves"] = (
-            val if isinstance(val, bool) else _parse_bool("curves", val)
-        )
-
-    workers = 0
-    if "workers" in raw:
-        try:
-            workers = int(raw["workers"])
-        except (TypeError, ValueError):
-            raise ValueError(f"workers must be an integer, got {raw['workers']!r}")
-    output_dir = str(raw.get("output_dir", "results"))
-    return CliConfig(
-        experiment=ExperimentConfig(**kwargs),
-        output_dir=output_dir,
-        workers=workers,
-    )
+                raise ValueError(f"{key} must be {kind}, got {raw[key]!r}") from None
+            kwargs.update(zip(targets, value if len(targets) > 1 else (value,)))
+    cli = {f.name: kwargs.pop(f.name) for f in fields(CliConfig) if f.name in kwargs}
+    return CliConfig(experiment=ExperimentConfig(**kwargs), **cli)
 
 
 def _build_parser() -> argparse.ArgumentParser:

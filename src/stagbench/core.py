@@ -190,8 +190,11 @@ def derive_stream(base_seed: int, labels: Sequence = ()) -> np.random.Generator:
     The same (base_seed, labels) always gives the same draws, independent of
     process, thread schedule or call order; distinct label paths give
     independent streams.  The seed words are ``base_seed % 2**64`` and then
-    one word per label.
+    one word per label.  A bare str or bytes is not a label path: it raises
+    ValueError rather than being split into one label per character.
     """
+    if isinstance(labels, (str, bytes)):
+        raise ValueError(f"labels must be a sequence of labels, got {labels!r}")
     words = [as_integer("base_seed", base_seed) % _U64]
     words.extend(_label_word(label) for label in labels)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))

@@ -35,7 +35,7 @@ import operator
 import os
 from bisect import bisect_right
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -101,7 +101,12 @@ class ExperimentConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{key} must be a real number, got {value!r}")
-            object.__setattr__(self, key, float(value))
+            try:
+                object.__setattr__(self, key, float(value))
+            except OverflowError:
+                raise ValueError(
+                    f"{key} must be a real number within float64, got {value!r}"
+                ) from None
         if not isinstance(self.capture_curves, (bool, np.bool_)):
             raise ValueError(
                 f"capture_curves must be a bool, got {self.capture_curves!r}"
@@ -413,44 +418,43 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-RECORDS_HEADER = (
-    "function,algorithm,T,run,best_value,grad_norm,generations,evaluations,termination"
+# (CSV header, RunRecord attribute) per records.csv column, in order.
+RECORDS_COLUMNS = (
+    ("function", "function"),
+    ("algorithm", "algorithm"),
+    ("T", "T"),
+    ("run", "run_index"),
+    ("best_value", "best_value"),
+    ("grad_norm", "grad_norm"),
+    ("generations", "generations"),
+    ("evaluations", "evaluations"),
+    ("termination", "termination"),
 )
-SUMMARY_HEADER = (
-    "function,T,algorithm,mean_grad_norm,stationary_fraction,mean_generations,runs"
-)
+# summary.csv has one column per SummaryRow field, named after it.
+SUMMARY_COLUMNS = tuple((f.name, f.name) for f in fields(SummaryRow))
 CURVE_HEADER = "run,generation,best_value"
 
 
-def write_records(records: Sequence[RunRecord], path: str) -> None:
+def _table(columns, rows) -> Iterator[List[str]]:
+    """The header cells, then the cells of each row: a float through
+    `format_float`, any other value through `str`."""
+    yield [header for header, _ in columns]
+    for row in rows:
+        cells = (getattr(row, attr) for _, attr in columns)
+        yield [format_float(v) if isinstance(v, float) else str(v) for v in cells]
+
+
+def _write_table(path: str, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(RECORDS_HEADER + "\n")
-        for r in records:
-            fh.write(
-                f"{r.function},{r.algorithm},{r.T},{r.run_index},"
-                f"{format_float(r.best_value)},{format_float(r.grad_norm)},"
-                f"{r.generations},{r.evaluations},{r.termination}\n"
-            )
+        fh.writelines(",".join(cells) + "\n" for cells in _table(columns, rows))
 
 
-def _summary_cells(s: SummaryRow) -> Tuple[str, ...]:
-    """The cells of one summary row, in SUMMARY_HEADER order."""
-    return (
-        s.function,
-        str(s.T),
-        s.algorithm,
-        format_float(s.mean_grad_norm),
-        format_float(s.stationary_fraction),
-        format_float(s.mean_generations),
-        str(s.runs),
-    )
+def write_records(records: Sequence[RunRecord], path: str) -> None:
+    _write_table(path, RECORDS_COLUMNS, records)
 
 
 def write_summary(rows: Sequence[SummaryRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        for s in rows:
-            fh.write(",".join(_summary_cells(s)) + "\n")
+    _write_table(path, SUMMARY_COLUMNS, rows)
 
 
 def curve_filename(function: str, algorithm: str, T: int) -> str:
@@ -483,9 +487,8 @@ def write_curves(records: Sequence[RunRecord], directory: str) -> List[str]:
 
 def render_summary_table(rows: Sequence[SummaryRow]) -> str:
     """Fixed-width text table of the summary for terminal display."""
-    header = SUMMARY_HEADER.split(",")
-    cells = [header] + [_summary_cells(s) for s in rows]
-    widths = [max(len(row[c]) for row in cells) for c in range(len(header))]
+    cells = list(_table(SUMMARY_COLUMNS, rows))
+    widths = [max(map(len, column)) for column in zip(*cells)]
     lines = []
     for i, row in enumerate(cells):
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

@@ -27,6 +27,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .core import as_integer
+
 __all__ = [
     "PAIRINGS",
     "NominalConfig",
@@ -69,7 +71,9 @@ class NominalConfig:
             raise ValueError(
                 f"unknown pairing {self.pairing!r}; expected one of {PAIRINGS}"
             )
-        stagnant = frozenset(int(i) for i in self.stagnant_set)
+        stagnant = frozenset(
+            as_integer("every stagnant_set entry", i) for i in self.stagnant_set
+        )
         object.__setattr__(self, "stagnant_set", stagnant)
 
 
@@ -120,6 +124,7 @@ def simulate(
     divergent run raises ValueError at the first step whose diameter is
     not a finite float64.
     """
+    steps = as_integer("steps", steps)
     X = np.array(init, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("init must be an (N, dim) array of points")

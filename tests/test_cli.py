@@ -75,6 +75,14 @@ class TestParseConfig:
         cfg = parse_config(str(path), {"T": "100"}).experiment
         assert cfg.T_values == (100,)
 
+    def test_key_set_twice_in_one_file_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("runs = 2\ndim = 4\nruns = 3\n")
+        with pytest.raises(ValueError, match=r"twice\.cfg:3: key 'runs' is set twice"):
+            read_config_file(str(path))
+        path.write_text("runs = 2\n")
+        assert parse_config(str(path), {"runs": 3}).experiment.runs == 3
+
     def test_unknown_key_names_offender(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("banana = 1\n")

@@ -129,6 +129,12 @@ class TestRngStreams:
         with pytest.raises(TypeError):
             derive_stream(42, [True])
 
+    @pytest.mark.parametrize("labels", ("ab", b"ab"), ids=("str", "bytes"))
+    def test_bare_string_label_path_rejected(self, labels):
+        # Iterated, "ab" would address the path ["a", "b"].
+        with pytest.raises(ValueError, match="^labels must be a sequence"):
+            derive_stream(1, labels)
+
     def test_string_and_int_labels_distinct(self):
         a = derive_stream(42, ["1"]).random(3)
         b = derive_stream(42, [1]).random(3)

@@ -46,7 +46,8 @@ def _small_cfg(**overrides):
     return ExperimentConfig(**kwargs)
 
 
-# Each names one field whose value has the wrong type.
+# Each names one field whose value has the wrong type or, for the last two,
+# does not fit in float64.
 NON_INTEGERS_AND_BARE_NAMES = (
     dict(runs=2.5),
     dict(T_values=(10.9,)),
@@ -64,6 +65,8 @@ NON_INTEGERS_AND_BARE_NAMES = (
     dict(bounds_lo="a"),
     dict(T_values=5),
     dict(functions=None),
+    dict(bounds_hi=10**400),
+    dict(stationarity_threshold=10**400),
 )
 
 

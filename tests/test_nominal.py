@@ -273,6 +273,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
             _simulate(0.5, [[0.0], [1.0]], 5, stagnant=(-1,))
 
+    @pytest.mark.parametrize("steps", (2.5, True))
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer, got "):
+            _simulate(0.5, [[0.0], [1.0]], steps)
+
+    def test_non_integer_stagnant_entry_rejected(self):
+        # int() would truncate 1.7 to index 1.
+        with pytest.raises(
+            ValueError, match="^every stagnant_set entry must be an integer, got 1.7$"
+        ):
+            NominalConfig(alpha=0.5, stagnant_set=frozenset({1.7}))
+        assert NominalConfig(alpha=0.5, stagnant_set={np.int64(1)}).stagnant_set == {1}
+
     def test_init_fixes_population_size_and_dim(self):
         with pytest.raises(ValueError, match="need at least 2 individuals"):
             _simulate(0.5, np.zeros((1, 2)), 5)
