@@ -2,8 +2,7 @@
 
 Every algorithm is driven the same way::
 
-    params = default_params("gwo", dim=3)
-    state = init(params, objective, gen)
+    state = init("gwo", objective, gen, schedule_horizon)
     while not done(state):
         state = step(state)
     point, value = best(state)
@@ -20,67 +19,28 @@ best-so-far tracking.  Uniform rules shared by all six implementations:
 * ties in selection keep the incumbent (strict improvement only), matching
   the strict best-so-far tracker;
 * time-decaying coefficients and population schedules are denominated in
-  generations against ``params.schedule_horizon`` (the harness safety cap),
+  generations against ``state.schedule_horizon`` (the harness safety cap),
   since runs terminate on stagnation rather than on a fixed budget.
 
-Default parameters come from each algorithm's original publication and are
-recorded in ``stagbench/data/algorithm_defaults.txt``, which is the single
-source ``default_params`` reads from.
+Each body module states its algorithm's parameters, taken from the original
+publication, as module constants next to the formulas that read them, and
+gives its initial population size as ``pop_size(dim)``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from importlib import import_module, resources
-from types import MappingProxyType
-from typing import Mapping, Tuple
+from importlib import import_module
+from typing import Tuple
 
 import numpy as np
 
-from ..core import BestTracker, ObjectiveSpec, as_integer, read_key_values
+from ..core import BestTracker, ObjectiveSpec, as_integer
 
-__all__ = [
-    "ALGORITHMS",
-    "ParamSet",
-    "AlgoState",
-    "default_params",
-    "defaults_table",
-    "init",
-    "step",
-    "best",
-]
+__all__ = ["ALGORITHMS", "AlgoState", "init", "step", "best"]
 
 ALGORITHMS = ("gl25", "clpso", "lshade", "gwo", "woa", "hho")
-
-DEFAULT_SCHEDULE_HORIZON = 20000
-
-
-@dataclass(frozen=True)
-class ParamSet:
-    """Parameters of one algorithm: population size, schedule horizon and
-    the algorithm-specific scalars from the defaults table."""
-
-    algorithm: str
-    pop_size: int
-    schedule_horizon: int
-    extra: Mapping[str, float]
-
-    def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        if self.pop_size < 4:
-            raise ValueError("pop_size must be >= 4")
-        if self.schedule_horizon < 1:
-            raise ValueError("schedule_horizon must be >= 1")
-        object.__setattr__(self, "extra", MappingProxyType(dict(self.extra)))
-
-    def get(self, key: str) -> float:
-        if key not in self.extra:
-            raise KeyError(f"{self.algorithm} has no parameter {key!r}")
-        return self.extra[key]
 
 
 @dataclass
@@ -89,7 +49,8 @@ class AlgoState:
     best-so-far tracker and counters.  `step` advances the state in place
     and returns it."""
 
-    params: ParamSet
+    algorithm: str
+    schedule_horizon: int
     objective: ObjectiveSpec
     population: np.ndarray
     values: np.ndarray
@@ -98,55 +59,6 @@ class AlgoState:
     generation: int
     evaluations: int
     gen_rng: np.random.Generator
-
-    @property
-    def algorithm(self) -> str:
-        return self.params.algorithm
-
-
-@functools.cache
-def defaults_table() -> Mapping[str, float]:
-    """The shipped defaults table as a flat, read-only {dotted key: value}
-    mapping, parsed once per process."""
-    path = "data/algorithm_defaults.txt"
-    text = resources.files("stagbench").joinpath(path).read_text(encoding="utf-8")
-    entries = read_key_values(text.splitlines(), path)
-    return MappingProxyType({key: float(val) for _, key, val in entries})
-
-
-def default_params(
-    algorithm: str,
-    dim: int,
-    schedule_horizon: int = DEFAULT_SCHEDULE_HORIZON,
-) -> ParamSet:
-    """Original-publication defaults for `algorithm` at dimension `dim`.
-
-    LSHADE's initial population scales with the dimension (18 * dim); all
-    other sizes are fixed.  Values come from the shipped defaults table.
-    """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    dim = as_integer("dim", dim)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    table = defaults_table()
-    prefix = algorithm + "."
-    extra = {
-        key[len(prefix):]: val for key, val in table.items() if key.startswith(prefix)
-    }
-    if algorithm == "lshade":
-        pop = int(extra.pop("pop_init_factor")) * dim
-        pop = max(pop, int(extra["pop_min"]))
-    else:
-        pop = int(extra.pop("pop_size"))
-    return ParamSet(
-        algorithm=algorithm,
-        pop_size=pop,
-        schedule_horizon=int(schedule_horizon),
-        extra=extra,
-    )
 
 
 @functools.cache
@@ -172,19 +84,32 @@ def schedule_fraction(generation: int, horizon: int) -> float:
 
 
 def init(
-    params: ParamSet, objective: ObjectiveSpec, gen: np.random.Generator
+    algorithm: str,
+    objective: ObjectiveSpec,
+    gen: np.random.Generator,
+    schedule_horizon: int,
 ) -> AlgoState:
-    """Sample a uniform population in the box from `gen`, evaluate it and
-    seed the tracker; the state keeps `gen` as its stream, and the algorithm
-    is the one `params` were built for."""
-    n, dim = params.pop_size, objective.dim
+    """Sample `algorithm`'s initial population uniformly in the box from
+    `gen`, evaluate it and seed the tracker; the state keeps `gen` as its
+    stream and denominates its schedules in `schedule_horizon` generations."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+    schedule_horizon = as_integer("schedule_horizon", schedule_horizon)
+    if schedule_horizon < 1:
+        raise ValueError("schedule_horizon must be >= 1")
+    body = _module(algorithm)
+    dim = objective.dim
+    n = body.pop_size(dim)
     X = gen.uniform(objective.domain.lo, objective.domain.hi, size=(n, dim))
     vals = sentinel_values(objective.value_batch(X))
     if not np.isfinite(vals).any():
         raise ValueError("every initial sample evaluated non-finite")
     seed_idx = int(np.argmin(vals))
     state = AlgoState(
-        params=params,
+        algorithm=algorithm,
+        schedule_horizon=schedule_horizon,
         objective=objective,
         population=X,
         values=vals,
@@ -194,14 +119,14 @@ def init(
         evaluations=n,
         gen_rng=gen,
     )
-    state.memory = _module(params.algorithm).init_memory(state)
+    state.memory = body.init_memory(state)
     return state
 
 
 def step(state: AlgoState) -> AlgoState:
     """Advance the state one generation in place and return it: the body
     returns the new population and values, stored here with the count."""
-    state.population, state.values = _module(state.params.algorithm).step(state)
+    state.population, state.values = _module(state.algorithm).step(state)
     state.generation += 1
     return state
 

@@ -6,11 +6,11 @@ across the swarm — the personal best of the winner of a random two-particle
 tournament.  If a particle ends up learning every dimension from itself, one
 random dimension is forced to another particle (the comprehensive-learning
 rule).  Exemplars are rebuilt after a particle's personal best has gone
-``refreshing_gap`` consecutive generations without improvement.
+``REFRESHING_GAP`` (7) consecutive generations without improvement.
 
 Velocity update: ``v = w*v + c*r*(exemplar - x)`` with inertia ``w``
 decaying 0.9 -> 0.4 over the schedule horizon, acceleration ``c = 1.49445``
-and per-dimension velocity clamp at ``vmax_fraction`` of the box span.
+and per-dimension velocity clamp at ``VMAX_FRACTION`` (0.2) of the box span.
 Positions are clamped to the box (see the fidelity notes) and personal
 bests accept strict improvements only.
 """
@@ -20,6 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import AlgoState, evaluate, schedule_fraction
+
+POP_SIZE = 40
+INERTIA_START = 0.9
+INERTIA_END = 0.4
+ACCELERATION = 1.49445
+REFRESHING_GAP = 7
+VMAX_FRACTION = 0.2
+
+
+def pop_size(dim: int) -> int:
+    return POP_SIZE
 
 
 def _pc_vector(n: int) -> np.ndarray:
@@ -72,24 +83,19 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     n, dim = X.shape
     gen = state.gen_rng
     mem = state.memory
-    params = state.params
-    frac = schedule_fraction(state.generation, params.schedule_horizon)
-    w = params.get("inertia_start") + frac * (
-        params.get("inertia_end") - params.get("inertia_start")
-    )
-    c = params.get("acceleration")
-    gap = int(params.get("refreshing_gap"))
-    vmax = params.get("vmax_fraction") * state.objective.domain.span
+    frac = schedule_fraction(state.generation, state.schedule_horizon)
+    w = INERTIA_START + frac * (INERTIA_END - INERTIA_START)
+    vmax = VMAX_FRACTION * state.objective.domain.span
 
     exemplar, pbest, pbest_vals = mem["exemplar"], mem["pbest"], mem["pbest_vals"]
-    stale = (mem["flags"] >= gap).nonzero()[0]
+    stale = (mem["flags"] >= REFRESHING_GAP).nonzero()[0]
     for i in stale.tolist():
         _assign_exemplar(exemplar[i], i, n, dim, mem["pc"][i], pbest_vals, gen)
     mem["flags"][stale] = 0
 
     target = pbest[exemplar, np.arange(dim)]
     r = gen.random((n, dim))
-    v = (w * mem["velocity"] + c * r * (target - X)).clip(-vmax, vmax)
+    v = (w * mem["velocity"] + ACCELERATION * r * (target - X)).clip(-vmax, vmax)
     moved, vals = evaluate(state, X + v)
 
     improved = vals < pbest_vals

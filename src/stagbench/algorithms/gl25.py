@@ -8,12 +8,12 @@ female, per dimension.
 
 * Global phase: the female is a uniform population member, the male is the
   *farthest* of three random candidates (negative assortative mating) and
-  ``alpha = alpha_global`` (wide, 0.8).
+  ``alpha = ALPHA_GLOBAL`` (wide, 0.8).
 * Local phase: the female comes from the best quarter of the population,
   the male is the *closest* of three candidates (positive assortative
-  mating) and ``alpha = alpha_local`` (narrow, 0.2).
+  mating) and ``alpha = ALPHA_LOCAL`` (narrow, 0.2).
 
-Survivors are the best ``pop_size`` of parents plus children, parents
+Survivors are the best ``POP_SIZE`` of parents plus children, parents
 winning ties.  This is a generational condensation of the original
 steady-state design; the fidelity notes list the differences.
 """
@@ -23,6 +23,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import AlgoState, evaluate
+
+POP_SIZE = 60
+GLOBAL_FRACTION = 0.25
+ALPHA_GLOBAL = 0.8
+ALPHA_LOCAL = 0.2
+LOCAL_FEMALE_FRACTION = 0.25
+MATING_CANDIDATES = 3
+
+
+def pop_size(dim: int) -> int:
+    return POP_SIZE
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -34,21 +45,18 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     vals = state.values
     n, dim = X.shape
     gen = state.gen_rng
-    params = state.params
 
-    global_gens = params.get("global_fraction") * params.schedule_horizon
-    global_phase = state.generation < global_gens
-    alpha = params.get("alpha_global") if global_phase else params.get("alpha_local")
-    n_cand = int(params.get("mating_candidates"))
+    global_phase = state.generation < GLOBAL_FRACTION * state.schedule_horizon
+    alpha = ALPHA_GLOBAL if global_phase else ALPHA_LOCAL
 
     if global_phase:
         female_idx = gen.integers(0, n, size=n)
     else:
-        elite = max(1, int(np.ceil(params.get("local_female_fraction") * n)))
+        elite = max(1, int(np.ceil(LOCAL_FEMALE_FRACTION * n)))
         pool = vals.argsort(kind="stable")[:elite]
         female_idx = pool[gen.integers(0, elite, size=n)]
 
-    cand = gen.integers(0, n - 1, size=(n, n_cand))
+    cand = gen.integers(0, n - 1, size=(n, MATING_CANDIDATES))
     cand += cand >= female_idx[:, None]
 
     fem = X[female_idx]

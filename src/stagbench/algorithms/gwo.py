@@ -15,6 +15,12 @@ import numpy as np
 
 from . import AlgoState, evaluate, schedule_fraction
 
+POP_SIZE = 30
+
+
+def pop_size(dim: int) -> int:
+    return POP_SIZE
+
 
 def init_memory(state: AlgoState) -> dict:
     memory = {
@@ -43,7 +49,7 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     n, dim = X.shape
     gen = state.gen_rng
-    a = 2.0 * (1.0 - schedule_fraction(state.generation, state.params.schedule_horizon))
+    a = 2.0 * (1.0 - schedule_fraction(state.generation, state.schedule_horizon))
 
     r = gen.random((3, 2, n, dim))
     leaders = [state.memory[k][0] for k in ("alpha", "beta", "delta")]

@@ -17,19 +17,24 @@ Extra dive evaluations are counted in the evaluations total.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from . import AlgoState, evaluate, schedule_fraction
 
+POP_SIZE = 30
+LEVY_BETA = 1.5
+LEVY_SCALE = 0.01
+# Mantegna's scale for Levy-stable steps of index LEVY_BETA.
+LEVY_SIGMA = (
+    math.gamma(1.0 + LEVY_BETA) * math.sin(math.pi * LEVY_BETA / 2.0)
+    / (math.gamma((1.0 + LEVY_BETA) / 2.0) * LEVY_BETA * 2.0 ** ((LEVY_BETA - 1.0) / 2.0))
+) ** (1.0 / LEVY_BETA)
 
-@functools.cache
-def _levy_sigma(beta: float) -> float:
-    num = math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
-    den = math.gamma((1.0 + beta) / 2.0) * beta * 2.0 ** ((beta - 1.0) / 2.0)
-    return (num / den) ** (1.0 / beta)
+
+def pop_size(dim: int) -> int:
+    return POP_SIZE
 
 
 def init_memory(state: AlgoState) -> dict:
@@ -43,11 +48,9 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     gen = state.gen_rng
     domain = state.objective.domain
     lo, hi = domain.lo, domain.hi
-    beta = state.params.get("levy_beta")
-    scale = state.params.get("levy_scale")
     rabbit = state.tracker.best_point
     mean = np.add.reduce(X, axis=0) / n  # X.mean(axis=0) without its Python layer
-    e1 = 2.0 * (1.0 - schedule_fraction(state.generation, state.params.schedule_horizon))
+    e1 = 2.0 * (1.0 - schedule_fraction(state.generation, state.schedule_horizon))
 
     # One fixed block of draws per generation keeps the stream layout
     # independent of which branches fire.
@@ -105,8 +108,10 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
 
         zidx = idx[~accept]
         if zidx.size:
-            sigma = _levy_sigma(beta)
-            levy = scale * sigma * levy_u[zidx] / np.abs(levy_v[zidx]) ** (1.0 / beta)
+            levy = (
+                LEVY_SCALE * LEVY_SIGMA * levy_u[zidx]
+                / np.abs(levy_v[zidx]) ** (1.0 / LEVY_BETA)
+            )
             Zc, zvals = evaluate(state, Y[zidx] + dive_rand[zidx] * levy)
             accept = zvals < vals[zidx]
             new_X[zidx[accept]] = Zc[accept]

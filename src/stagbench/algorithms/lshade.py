@@ -27,19 +27,28 @@ import numpy as np
 
 from . import AlgoState, evaluate
 
+POP_INIT_FACTOR = 18
+POP_MIN = 4
+MEMORY_SIZE = 6
+P_BEST_FRACTION = 0.11
+ARCHIVE_RATE = 2.6
+
+
+def pop_size(dim: int) -> int:
+    return max(POP_INIT_FACTOR * dim, POP_MIN)
+
 
 def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
 def init_memory(state: AlgoState) -> dict:
-    h = int(state.params.get("memory_size"))
     return {
-        "m_f": np.full(h, 0.5),
-        "m_cr": np.full(h, 0.5),
+        "m_f": np.full(MEMORY_SIZE, 0.5),
+        "m_cr": np.full(MEMORY_SIZE, 0.5),
         "k": 0,
         "archive": np.empty((0, state.objective.dim)),
-        "pop_init": state.params.pop_size,
+        "pop_init": state.population.shape[0],
     }
 
 
@@ -49,12 +58,11 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     n, dim = X.shape
     gen = state.gen_rng
     mem = state.memory
-    params = state.params
     h = mem["m_f"].size
     archive = mem["archive"]
 
     order = vals.argsort(kind="stable")
-    p_num = max(2, _round_half_up(params.get("p_best_fraction") * n))
+    p_num = max(2, _round_half_up(P_BEST_FRACTION * n))
 
     r_mem = gen.integers(0, h, size=n)
     m_cr = mem["m_cr"][r_mem]
@@ -122,16 +130,15 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
         X = np.where(win[:, None], trial, X)
         vals = np.where(win, tvals, vals)
 
-    n_min = int(params.get("pop_min"))
-    frac = min(1.0, (state.generation + 1) / params.schedule_horizon)
-    n_next = _round_half_up(mem["pop_init"] + (n_min - mem["pop_init"]) * frac)
-    n_next = max(n_min, min(n, n_next))
+    frac = min(1.0, (state.generation + 1) / state.schedule_horizon)
+    n_next = _round_half_up(mem["pop_init"] + (POP_MIN - mem["pop_init"]) * frac)
+    n_next = max(POP_MIN, min(n, n_next))
     if n_next < n:
         keep = np.sort(vals.argsort(kind="stable")[:n_next])
         X = X[keep]
         vals = vals[keep]
 
-    limit = max(1, _round_half_up(params.get("archive_rate") * n_next))
+    limit = max(1, _round_half_up(ARCHIVE_RATE * n_next))
     m = archive.shape[0]
     if m > limit:
         # One broadcast draw over the shrinking row counts m, m-1, ...,

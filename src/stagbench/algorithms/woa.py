@@ -17,6 +17,13 @@ import numpy as np
 
 from . import AlgoState, evaluate, schedule_fraction
 
+POP_SIZE = 30
+SPIRAL_B = 1.0
+
+
+def pop_size(dim: int) -> int:
+    return POP_SIZE
+
 
 def init_memory(state: AlgoState) -> dict:
     return {}
@@ -26,10 +33,9 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     X = state.population
     n, dim = X.shape
     gen = state.gen_rng
-    frac = schedule_fraction(state.generation, state.params.schedule_horizon)
+    frac = schedule_fraction(state.generation, state.schedule_horizon)
     a = 2.0 * (1.0 - frac)
     a2 = -1.0 - frac
-    b = state.params.get("spiral_b")
     leader = state.tracker.best_point
 
     r1 = gen.random(n)
@@ -45,7 +51,9 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     explore = ref - A * np.abs(C * ref - X)
     encircle = leader[None, :] - A * np.abs(C * leader[None, :] - X)
     spiral = (
-        np.abs(leader[None, :] - X) * np.exp(b * l)[:, None] * np.cos(2.0 * np.pi * l)[:, None]
+        np.abs(leader[None, :] - X)
+        * np.exp(SPIRAL_B * l)[:, None]
+        * np.cos(2.0 * np.pi * l)[:, None]
         + leader[None, :]
     )
 

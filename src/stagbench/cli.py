@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import benchmarks, harness, nominal, verify
-from .core import derive_stream, euclidean_norm, read_key_values
+from .core import as_integer, derive_stream, euclidean_norm
 from .harness import ExperimentConfig, format_float
 
 __all__ = ["main", "parse_config", "CliConfig", "CONFIG_KEYS"]
@@ -42,6 +42,7 @@ class CliConfig:
     workers: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "workers", as_integer("workers", self.workers))
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
 
@@ -101,12 +102,22 @@ CONFIG_KEYS = tuple(_CONFIG_TABLE)
 
 
 def read_config_file(path: str) -> dict:
-    """Parse a flat key=value config file into a {key: raw string} dict;
-    an unknown key or one set twice raises ValueError located as
-    ``path:lineno``."""
+    """Parse a flat key=value config file into a {key: raw string} dict.
+
+    Blank lines and ``#`` comments are skipped and keys and values are
+    stripped; a line without ``=``, an unknown key or a key set twice raises
+    ValueError located as ``path:lineno``."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, key, val in read_key_values(fh, path):
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(
+                    f"{path}:{lineno}: expected key = value, got {raw.rstrip()!r}"
+                )
+            key, val = (part.strip() for part in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(
                     f"{path}:{lineno}: unknown key {key!r}; "

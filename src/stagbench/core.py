@@ -5,16 +5,15 @@ populations are (n, dim) arrays.  This module provides the box-bounds type,
 the objective-function container, `derive_stream`, which gives each label
 path under a base seed its own deterministic numpy Generator, the monotone
 best-so-far tracker that every optimizer shares (a run folds each evaluated
-batch into its tracker in place), the reader of the flat ``key = value`` text
-that the defaults table and experiment config files use, and the one integer
-rule for public sizes and seeds.
+batch into its tracker in place), and the one integer rule for public sizes
+and seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "as_point",
     "derive_stream",
     "euclidean_norm",
-    "read_key_values",
 ]
 
 
@@ -71,22 +69,6 @@ def euclidean_norm(v: np.ndarray) -> float:
         if np.isinf(norm) and np.isfinite(v).all():
             norm = float(np.hypot.reduce(v, initial=0.0))
     return norm
-
-
-def read_key_values(lines: Iterable[str], source: str) -> Iterator[tuple]:
-    """Yield stripped ``(lineno, key, value)`` for each ``key = value`` line,
-    skipping blank lines and ``#`` comments; a line without ``=`` raises
-    ValueError located as ``source:lineno``."""
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(
-                f"{source}:{lineno}: expected key = value, got {raw.rstrip()!r}"
-            )
-        key, val = (part.strip() for part in line.split("=", 1))
-        yield lineno, key, val
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,6 +144,8 @@ class ExperimentConfig:
                 raise ValueError("every T must be < max_generations")
         if not self.stationarity_threshold > 0:
             raise ValueError("stationarity_threshold must be > 0")
+        if self.stationarity_threshold == np.inf:
+            raise ValueError("stationarity_threshold must be finite, got inf")
 
     def domain(self) -> Bounds:
         return Bounds.cube(self.bounds_lo, self.bounds_hi, self.dim)
@@ -278,13 +280,12 @@ def run_single(
 
     Overflow and invalid operations raise no floating-point warnings: the
     non-finite values they make are +inf sentinels by design."""
+    T = as_integer("T", T)
+    run_index = as_integer("run_index", run_index)
     obj = objective(function, cfg.dim, cfg.domain())
-    gen = derive_stream(cfg.base_seed, (function, algorithm, int(T), int(run_index)))
-    params = algos.default_params(
-        algorithm, cfg.dim, schedule_horizon=cfg.max_generations
-    )
+    gen = derive_stream(cfg.base_seed, (function, algorithm, T, run_index))
     with np.errstate(over="ignore", invalid="ignore"):
-        state = algos.init(params, obj, gen)
+        state = algos.init(algorithm, obj, gen, cfg.max_generations)
         state, termination, curve = run_until_stagnation(
             state, T, cfg.max_generations, capture=cfg.capture_curves
         )
@@ -293,8 +294,8 @@ def run_single(
     return RunRecord(
         function=function,
         algorithm=algorithm,
-        T=int(T),
-        run_index=int(run_index),
+        T=T,
+        run_index=run_index,
         best_point=point,
         best_value=value,
         grad_norm=grad_norm,
@@ -338,6 +339,7 @@ def run_experiment(
     process per task and reads the results back in submit order, so results
     do not depend on worker count.
     """
+    workers = as_integer("workers", workers)
     tasks = [(f, a, t, r, cfg) for (f, a, t, r) in _tasks(cfg)]
     # The fork start method launches every pool worker on the first submit,
     # so a pool wider than the task list only costs processes.

@@ -72,11 +72,11 @@ def test_criterion_3_monotone_best():
         for function in benchmarks.FUNCTIONS:
             for seed in range(5):
                 obj = objective(function, 3)
-                params = algos.default_params(algorithm, 3, schedule_horizon=300)
                 state = algos.init(
-                    params,
+                    algorithm,
                     obj,
                     derive_stream(seed, ["monotone", function, algorithm]),
+                    300,
                 )
                 prev = state.tracker.best_value
                 for _ in range(300):
@@ -201,10 +201,9 @@ def test_criterion_9_sphere_smoke():
     results = {}
     for algorithm in algos.ALGORITHMS:
         obj = sphere_objective(3)
-        params = algos.default_params(
-            algorithm, 3, schedule_horizon=SPHERE_GENERATIONS
+        state = algos.init(
+            algorithm, obj, derive_stream(1, ["sphere", algorithm]), SPHERE_GENERATIONS
         )
-        state = algos.init(params, obj, derive_stream(1, ["sphere", algorithm]))
         for _ in range(SPHERE_GENERATIONS):
             state = algos.step(state)
             if state.tracker.best_value <= SPHERE_TARGET:

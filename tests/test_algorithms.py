@@ -7,6 +7,7 @@ import pytest
 
 import stagbench.algorithms as algos
 from stagbench import benchmarks
+from stagbench.algorithms import clpso, gl25, gwo, hho, lshade
 from stagbench.benchmarks import objective, sphere_objective
 from stagbench.core import BestTracker, Bounds, ObjectiveSpec, derive_stream
 
@@ -17,8 +18,7 @@ def _stream(algorithm, seed=42):
 
 def _fresh_state(algorithm, obj=None, seed=42, horizon=1000):
     obj = obj or objective("zhou2", 3)
-    params = algos.default_params(algorithm, obj.dim, schedule_horizon=horizon)
-    return algos.init(params, obj, _stream(algorithm, seed))
+    return algos.init(algorithm, obj, _stream(algorithm, seed), horizon)
 
 
 class CountingObjective:
@@ -40,55 +40,41 @@ class CountingObjective:
 
 
 class TestParamSet:
-    def test_defaults_table_has_all_algorithms(self):
-        table = algos.defaults_table()
-        for algorithm in algos.ALGORITHMS:
-            assert any(k.startswith(algorithm + ".") for k in table)
+    """The published parameters: module constants in each algorithm body, and
+    the initial population `init` draws with them."""
 
-    def test_defaults_table_parsed_once_and_read_only(self):
-        table = algos.defaults_table()
-        assert algos.defaults_table() is table
-        with pytest.raises(TypeError):
-            table["gwo.pop_size"] = 1.0
+    def test_defaults_table_has_all_algorithms(self):
+        for algorithm in algos.ALGORITHMS:
+            size = algos._module(algorithm).pop_size(3)
+            assert type(size) is int and size >= 4
 
     def test_published_defaults_spot_checks(self):
-        table = algos.defaults_table()
-        assert table["gl25.pop_size"] == 60.0
-        assert table["clpso.acceleration"] == pytest.approx(1.49445)
-        assert table["clpso.refreshing_gap"] == 7.0
-        assert table["lshade.pop_init_factor"] == 18.0
-        assert table["lshade.memory_size"] == 6.0
-        assert table["gwo.pop_size"] == 30.0
-        assert table["hho.levy_beta"] == pytest.approx(1.5)
+        assert gl25.POP_SIZE == 60
+        assert clpso.ACCELERATION == 1.49445
+        assert clpso.REFRESHING_GAP == 7
+        assert lshade.POP_INIT_FACTOR == 18
+        assert lshade.MEMORY_SIZE == 6
+        assert gwo.POP_SIZE == 30
+        assert hho.LEVY_BETA == 1.5
 
     def test_lshade_population_scales_with_dim(self):
-        p3 = algos.default_params("lshade", 3)
-        p5 = algos.default_params("lshade", 5)
-        assert p3.pop_size == 54
-        assert p5.pop_size == 90
-
-    def test_extra_mapping_read_only(self):
-        params = algos.default_params("woa", 3)
-        with pytest.raises(TypeError):
-            params.extra["spiral_b"] = 2.0  # type: ignore[index]
-
-    def test_get_unknown_key_raises(self):
-        params = algos.default_params("gwo", 3)
-        with pytest.raises(KeyError):
-            params.get("nonexistent")
+        for dim, size in ((3, 54), (5, 90)):
+            state = _fresh_state("lshade", objective("zhou2", dim))
+            assert state.population.shape == (size, dim)
+            assert state.memory["pop_init"] == size
 
     def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            algos.default_params("cmaes", 3)
+        with pytest.raises(ValueError, match="^unknown algorithm 'cmaes'"):
+            _fresh_state("cmaes")
 
-    @pytest.mark.parametrize("dim", (2.5, 3.0, True, "3"))
-    def test_non_integer_dim_rejected(self, dim):
-        with pytest.raises(ValueError, match="^dim must be an integer"):
-            algos.default_params("lshade", dim)
+    @pytest.mark.parametrize("horizon", (2.5, True, "7"))
+    def test_non_integer_schedule_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="^schedule_horizon must be an integer"):
+            _fresh_state("gwo", horizon=horizon)
 
-    def test_numpy_integer_dim_gives_an_int_size(self):
-        params = algos.default_params("lshade", np.int64(3))
-        assert params.pop_size == 54 and type(params.pop_size) is int
+    def test_schedule_horizon_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^schedule_horizon must be >= 1$"):
+            _fresh_state("gwo", horizon=0)
 
 
 class TestHelpers:
@@ -178,7 +164,7 @@ class TestUniformInterface:
     def test_init_shape_and_accounting(self, algorithm):
         state = _fresh_state(algorithm)
         assert state.algorithm == algorithm
-        n = state.params.pop_size
+        n = algos._module(algorithm).pop_size(3)
         assert state.population.shape == (n, 3)
         assert state.values.shape == (n,)
         assert state.generation == 0
@@ -248,8 +234,7 @@ class TestUniformInterface:
 
     def test_evaluation_count_is_exact(self, algorithm):
         counting = CountingObjective(objective("zhou2", 3))
-        params = algos.default_params(algorithm, 3, schedule_horizon=500)
-        state = algos.init(params, counting.spec, _stream(algorithm))
+        state = algos.init(algorithm, counting.spec, _stream(algorithm), 500)
         for _ in range(12):
             state = algos.step(state)
         assert state.evaluations == counting.count
@@ -268,8 +253,7 @@ class TestUniformInterface:
         # 60 generations on the sphere must improve on the initial sample:
         # a pure sanity check far weaker than the acceptance smoke test.
         obj = sphere_objective(3)
-        params = algos.default_params(algorithm, 3, schedule_horizon=500)
-        state = algos.init(params, obj, _stream(algorithm, seed=1))
+        state = algos.init(algorithm, obj, _stream(algorithm, seed=1), 500)
         v0 = state.tracker.best_value
         for _ in range(60):
             state = algos.step(state)
@@ -279,40 +263,35 @@ class TestUniformInterface:
 class TestLshadeSpecifics:
     def test_population_shrinks_over_schedule(self):
         obj = objective("zhou1", 3)
-        params = algos.default_params("lshade", 3, schedule_horizon=100)
-        state = algos.init(params, obj, _stream("lshade"))
+        state = algos.init("lshade", obj, _stream("lshade"), 100)
         n0 = state.population.shape[0]
         for _ in range(100):
             state = algos.step(state)
         n_final = state.population.shape[0]
-        assert n_final == int(params.get("pop_min"))
+        assert n_final == lshade.POP_MIN
         assert n_final < n0
 
     def test_archive_capacity_respected(self):
         obj = objective("zhou2", 3)
-        params = algos.default_params("lshade", 3, schedule_horizon=200)
-        state = algos.init(params, obj, _stream("lshade", seed=4))
-        rate = params.get("archive_rate")
+        state = algos.init("lshade", obj, _stream("lshade", seed=4), 200)
         for _ in range(50):
             state = algos.step(state)
-            cap = max(1, int(np.floor(rate * state.population.shape[0] + 0.5)))
+            cap = max(1, int(np.floor(lshade.ARCHIVE_RATE * state.population.shape[0] + 0.5)))
             assert state.memory["archive"].shape[0] <= cap
 
 
 class TestClpsoSpecifics:
     def test_velocity_capped(self):
         obj = objective("zhou3", 3)
-        params = algos.default_params("clpso", 3, schedule_horizon=500)
-        state = algos.init(params, obj, _stream("clpso", seed=5))
-        vmax = params.get("vmax_fraction") * float(obj.domain.span[0])
+        state = algos.init("clpso", obj, _stream("clpso", seed=5), 500)
+        vmax = clpso.VMAX_FRACTION * float(obj.domain.span[0])
         for _ in range(40):
             state = algos.step(state)
             assert np.all(np.abs(state.memory["velocity"]) <= vmax + 1e-12)
 
     def test_pbest_never_worse_than_current(self):
         obj = objective("zhou2", 3)
-        params = algos.default_params("clpso", 3, schedule_horizon=500)
-        state = algos.init(params, obj, _stream("clpso", seed=6))
+        state = algos.init("clpso", obj, _stream("clpso", seed=6), 500)
         for _ in range(40):
             state = algos.step(state)
             assert np.all(state.memory["pbest_vals"] <= state.values + 1e-15)

@@ -109,6 +109,15 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             CliConfig(experiment=ExperimentConfig(), workers=-1)
 
+    @pytest.mark.parametrize("workers", (1.5, True, "2"))
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="^workers must be an integer"):
+            CliConfig(experiment=ExperimentConfig(), workers=workers)
+
+    def test_numpy_integer_workers_become_an_int(self):
+        cli_cfg = CliConfig(experiment=ExperimentConfig(), workers=np.int64(2))
+        assert type(cli_cfg.workers) is int and cli_cfg.workers == 2
+
     def test_auto_workers_positive(self):
         assert CliConfig(experiment=ExperimentConfig()).effective_workers() >= 1
 
@@ -133,6 +142,24 @@ class TestParseConfig:
         assert CliConfig(experiment=ExperimentConfig(), workers=4).effective_workers() == 4
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert CliConfig(experiment=ExperimentConfig()).effective_workers() == 1
+
+
+class TestReadConfigFile:
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_text(
+            "# header\n\nruns = 1  # trailing\n  dim=4 \noutput_dir =\n"
+        )
+        assert read_config_file(str(path)) == {
+            "runs": "1", "dim": "4", "output_dir": "",
+        }
+
+    def test_line_without_equals_is_located(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_text("runs = 1\ndim 2\n")
+        with pytest.raises(ValueError) as exc:
+            read_config_file(str(path))
+        assert str(exc.value) == f"{path}:2: expected key = value, got 'dim 2'"
 
 
 class TestNominalCommand:
@@ -336,6 +363,15 @@ class TestRunAndExperimentCommands:
         cfg_file.write_text("zebra = 1\n")
         assert main(["experiment", "--config", str(cfg_file)]) == 2
         assert "zebra" in capsys.readouterr().err
+
+    def test_infinite_threshold_exits_2_and_names_key(self, tmp_path, capsys):
+        code = main(["run", "--function", "zhou1", "--algorithm", "gwo", "--T", "5",
+                     "--threshold", "inf", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stationarity_threshold must be finite, got inf\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["experiment", "--config", "/no/such/file.cfg"]) == 2

@@ -14,7 +14,6 @@ from stagbench.core import (
     as_point,
     derive_stream,
     euclidean_norm,
-    read_key_values,
 )
 
 
@@ -37,18 +36,6 @@ class TestAsPoint:
             as_point([1.0, np.inf])
         with pytest.raises(ValueError):
             as_point([np.nan])
-
-
-class TestReadKeyValues:
-    def test_comments_and_blank_lines_skipped(self):
-        lines = ["# header", "", "a = 1  # trailing", "  b=two words ", "c ="]
-        assert list(read_key_values(lines, "x.cfg")) == [
-            (3, "a", "1"), (4, "b", "two words"), (5, "c", ""),
-        ]
-
-    def test_line_without_equals_is_located(self):
-        with pytest.raises(ValueError, match=r"^x\.cfg:2: expected key = value"):
-            list(read_key_values(["a = 1", "b 2"], "x.cfg"))
 
 
 class TestBounds:

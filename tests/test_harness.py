@@ -93,6 +93,7 @@ class TestConfigValidation:
             dict(dim=1),
             dict(bounds_lo=1.0, bounds_hi=-1.0),
             dict(stationarity_threshold=0.0),
+            dict(stationarity_threshold=float("inf")),
             *NON_INTEGERS_AND_BARE_NAMES,
         ),
     )
@@ -130,6 +131,20 @@ class TestConfigValidation:
         assert type(cfg.capture_curves) is bool
         assert type(_small_cfg(bounds_lo=-10).bounds_lo) is float
 
+    @pytest.mark.parametrize(
+        "value, message",
+        (
+            (0.0, "must be > 0"),
+            (-1.0, "must be > 0"),
+            (float("nan"), "must be > 0"),
+            (float("inf"), "must be finite, got inf"),
+        ),
+    )
+    def test_stationarity_threshold_bound_names_the_field(self, value, message):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(stationarity_threshold=value)
+        assert str(exc.value) == f"stationarity_threshold {message}"
+
     def test_box_wider_than_float64_rejected_up_front(self):
         with pytest.raises(ValueError, match="bounds must have a finite width"):
             ExperimentConfig(bounds_lo=-1e308, bounds_hi=1e308)
@@ -152,8 +167,7 @@ class TestRunUntilStagnation:
     @staticmethod
     def _state(seed=11, algorithm="gwo"):
         obj = objective("zhou1", 3)
-        params = algos.default_params(algorithm, 3, schedule_horizon=20000)
-        return algos.init(params, obj, derive_stream(seed, ["harness-test"]))
+        return algos.init(algorithm, obj, derive_stream(seed, ["harness-test"]), 20000)
 
     def test_stagnation_exit_is_exact(self):
         T = 40
@@ -211,8 +225,7 @@ class TestCurve:
     @staticmethod
     def _state(algorithm, horizon):
         obj = objective("zhou1", 3)
-        params = algos.default_params(algorithm, 3, schedule_horizon=horizon)
-        return algos.init(params, obj, derive_stream(5, ["curve-test"]))
+        return algos.init(algorithm, obj, derive_stream(5, ["curve-test"]), horizon)
 
     @pytest.mark.parametrize("algorithm", algos.ALGORITHMS)
     @pytest.mark.parametrize(
@@ -311,6 +324,26 @@ class TestRunSingle:
         r1 = run_single("zhou1", "gwo", 50, 1, cfg)
         assert r0.best_value != r1.best_value
 
+    @pytest.mark.parametrize(
+        "field, value",
+        (("T", 2.5), ("T", True), ("T", "2"), ("run_index", 1.0), ("run_index", True)),
+    )
+    def test_non_integer_T_or_run_index_names_the_field(self, field, value):
+        args = {"T": 2, "run_index": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_single("zhou1", "gwo", args["T"], args["run_index"], _small_cfg())
+
+    def test_numpy_integer_T_and_run_index_run_as_ints(self):
+        cfg = _small_cfg()
+        rec = run_single("zhou1", "gwo", np.int64(2), np.int32(1), cfg)
+        assert type(rec.T) is int and type(rec.run_index) is int
+        ref = run_single("zhou1", "gwo", 2, 1, cfg)
+        assert (rec.T, rec.run_index, rec.generations, rec.evaluations) == (
+            2, 1, ref.generations, ref.evaluations,
+        )
+        assert rec.best_value == ref.best_value
+        assert np.array_equal(rec.best_point, ref.best_point)
+
 
 class TestRunExperiment:
     def test_grid_cardinality_and_order(self):
@@ -377,6 +410,15 @@ class TestRunExperiment:
         records, _ = run_experiment(cfg, workers=10**6)
         assert requested == [2]
         assert len(records) == 2
+
+    @pytest.mark.parametrize("workers", (1.5, True, "2"))
+    def test_non_integer_workers_rejected_before_any_run(self, workers, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError, match="^workers must be an integer"):
+            run_experiment(_small_cfg(runs=3), workers=workers)
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
     def test_stopped_pool_leaves_no_worker(self, error):
