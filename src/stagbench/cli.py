@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import benchmarks, harness, nominal, verify
-from .core import as_integer, derive_stream, euclidean_norm
+from .core import derive_stream, euclidean_norm
 from .harness import ExperimentConfig, format_float
 
 __all__ = ["main", "parse_config", "CliConfig", "CONFIG_KEYS"]
@@ -42,19 +42,7 @@ class CliConfig:
     workers: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "workers", as_integer("workers", self.workers))
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
-
-    def effective_workers(self) -> int:
-        """Worker processes to use: `workers`, or all usable CPUs when it
-        is 0, never more than the usable CPU count.  Usable CPUs are those in
-        the process's affinity mask where the platform reports one."""
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        return min(self.workers, cpus) if self.workers > 0 else cpus
+        object.__setattr__(self, "workers", harness.check_workers(self.workers))
 
 
 def _parse_list(text) -> List[str]:
@@ -310,9 +298,7 @@ def _cmd_grid(args) -> int:
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 3
-    records, summary = harness.run_experiment(
-        cfg, workers=cli_cfg.effective_workers()
-    )
+    records, summary = harness.run_experiment(cfg, workers=cli_cfg.workers)
     try:
         harness.write_records(
             records, os.path.join(cli_cfg.output_dir, "records.csv")

@@ -12,6 +12,7 @@ and seeds.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,6 +35,19 @@ def as_integer(field: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(field: str, value) -> float:
+    """`value` as a float; anything but a real number (a bool is not one), or
+    one beyond float64, raises ValueError naming `field`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{field} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{field} must be a real number within float64, got {value!r}"
+        ) from None
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:

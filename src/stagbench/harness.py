@@ -18,11 +18,13 @@ memory and 13 pickled bytes per improvement, whatever the number of
 generations, so pool results and the parent's memory grow with the number
 of improvements, not of generations.
 
-Only a grid run on more than one worker imports the process-pool stack
-(``concurrent.futures``, ``multiprocessing`` and what they load), when its
-pool starts; importing this module or running a grid on one worker never
-loads it.  Pool workers ignore Ctrl-C: on an interrupt or a failed run the
-parent stops them, so no queued run starts, and re-raises.
+A grid runs on ``workers`` processes: 0 means one per usable CPU, and any
+count is capped at the usable CPUs and at the number of runs.  Only a grid
+run on more than one worker imports the process-pool stack
+(``multiprocessing`` and what it loads), when its ``multiprocessing.Pool``
+starts; importing this module or running a grid on one worker never loads
+it.  Pool workers ignore Ctrl-C: on an interrupt or a failed run the parent
+terminates them, so no queued run starts, and re-raises.
 
 CSV output renders every float with 17 significant digits, which
 round-trips binary64 exactly.
@@ -30,19 +32,20 @@ round-trips binary64 exactly.
 
 from __future__ import annotations
 
-import numbers
 import operator
 import os
 from bisect import bisect_right
 from collections import abc
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import algorithms as algos
 from .benchmarks import FUNCTIONS, objective
-from .core import Bounds, as_integer, derive_stream, euclidean_norm
+from .core import Bounds, as_integer, as_real, derive_stream, euclidean_norm
 
 __all__ = [
     "ExperimentConfig",
@@ -52,6 +55,7 @@ __all__ = [
     "run_until_stagnation",
     "run_single",
     "run_experiment",
+    "check_workers",
     "summarize",
     "write_records",
     "write_summary",
@@ -98,15 +102,7 @@ class ExperimentConfig:
         T_values = tuple(as_integer("every T", t) for t in T_values)
         object.__setattr__(self, "T_values", T_values)
         for key in ("bounds_lo", "bounds_hi", "stationarity_threshold"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-            try:
-                object.__setattr__(self, key, float(value))
-            except OverflowError:
-                raise ValueError(
-                    f"{key} must be a real number within float64, got {value!r}"
-                ) from None
+            object.__setattr__(self, key, as_real(key, getattr(self, key)))
         if not isinstance(self.capture_curves, (bool, np.bool_)):
             raise ValueError(
                 f"capture_curves must be a bool, got {self.capture_curves!r}"
@@ -306,17 +302,8 @@ def run_single(
     )
 
 
-def _tasks(cfg: ExperimentConfig):
-    for function in cfg.functions:
-        for algorithm in cfg.algorithms:
-            for T in cfg.T_values:
-                for run in range(cfg.runs):
-                    yield (function, algorithm, T, run)
-
-
 def _run_task(args):
-    function, algorithm, T, run, cfg = args
-    return run_single(function, algorithm, T, run, cfg)
+    return run_single(*args)
 
 
 def _ignore_sigint():
@@ -327,6 +314,14 @@ def _ignore_sigint():
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def check_workers(workers) -> int:
+    """`workers` as an int; anything but an integer >= 0 raises ValueError."""
+    workers = as_integer("workers", workers)
+    if workers < 0:
+        raise ValueError("workers must be >= 0")
+    return workers
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     workers: int = 1,
@@ -335,49 +330,39 @@ def run_experiment(
     """Run the whole grid and aggregate.
 
     Records come in grid order (function, algorithm, T, run, as listed in
-    `cfg`).  `workers` > 1 fans runs out to a process pool of at most one
-    process per task and reads the results back in submit order, so results
-    do not depend on worker count.
+    `cfg`); `progress`, if given, is called with each as it arrives.
+    `workers` processes run the grid: 0 means one per usable CPU (those in
+    the affinity mask where the platform reports one), any count is capped
+    at the usable CPUs and at the number of runs, and a negative one raises
+    ValueError.  A pool reads results back in submit order, so results do
+    not depend on worker count.
     """
-    workers = as_integer("workers", workers)
-    tasks = [(f, a, t, r, cfg) for (f, a, t, r) in _tasks(cfg)]
-    # The fork start method launches every pool worker on the first submit,
-    # so a pool wider than the task list only costs processes.
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        records = []
-        for task in tasks:
-            rec = _run_task(task)
+    workers = check_workers(workers)
+    grid = product(cfg.functions, cfg.algorithms, cfg.T_values, range(cfg.runs))
+    tasks = [(*key, cfg) for key in grid]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    # Pool forks every worker when it is built, so a pool wider than the
+    # CPUs or the task list only costs processes.
+    workers = min(workers or cpus, cpus, len(tasks))
+    results = map(_run_task, tasks)
+    records = []
+    with ExitStack() as stack:
+        if workers > 1:
+            # Only here is the pool stack (multiprocessing, socket, queue,
+            # ...) imported, so one-worker runs never load it.  Leaving the
+            # block terminates the workers: after Ctrl-C or a failed run, no
+            # queued run starts.
+            import multiprocessing
+
+            pool = multiprocessing.Pool(workers, initializer=_ignore_sigint)
+            results = stack.enter_context(pool).imap(_run_task, tasks)
+        for rec in results:
             if progress is not None:
                 progress(rec)
             records.append(rec)
-    else:
-        # The pool stack (concurrent.futures, multiprocessing, socket,
-        # logging, ...) is imported only here, so one-worker runs never
-        # load it.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import active_children
-
-        others = set(active_children())
-        records = []
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_ignore_sigint
-        ) as pool:
-            futures = [pool.submit(_run_task, task) for task in tasks]
-            try:
-                for future in futures:
-                    rec = future.result()
-                    if progress is not None:
-                        progress(rec)
-                    records.append(rec)
-            except BaseException:
-                # On Ctrl-C or a failed run, stop the workers rather than
-                # wait for their runs.  That breaks the pool, which then
-                # fails every queued run instead of starting it (cancelling
-                # them as well would race the pool's own clean-up).
-                for proc in set(active_children()) - others:
-                    proc.terminate()
-                raise
     return records, summarize(records, cfg)
 
 

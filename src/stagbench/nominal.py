@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import as_integer
+from .core import as_integer, as_real
 
 __all__ = [
     "PAIRINGS",
@@ -65,6 +65,7 @@ class NominalConfig:
     stagnant_set: frozenset = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", as_real("alpha", self.alpha))
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if self.pairing not in PAIRINGS:

@@ -20,6 +20,8 @@ check and prints its detail.  Criteria:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from conftest import record_criterion
@@ -177,7 +179,10 @@ def test_criterion_7_stagnation_semantics(curve_grid):
     )
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
+    # Eight usable CPUs, so workers=8 runs eight processes on any host.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     cfg = ExperimentConfig(T_values=(100,), runs=3)
     blobs = []
     for label, workers in (("a", 1), ("b", 8), ("c", 1)):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import multiprocessing
 import os
@@ -345,6 +344,75 @@ class TestRunSingle:
         assert np.array_equal(rec.best_point, ref.best_point)
 
 
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """Replace ``multiprocessing.Pool`` with an in-process stand-in whose
+    ``imap`` is ``map``; the list collects the width of each pool built."""
+    widths = []
+
+    class InProcessPool:
+        def __init__(self, processes, initializer=None):
+            widths.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return widths
+
+
+def _pin_cpus(monkeypatch, affinity, count=8):
+    """Make the usable CPUs the set `affinity`, or, when it is None, leave
+    the platform without an affinity mask and `os.cpu_count()` at `count`."""
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        cpus = set(affinity)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+class TestWorkerRule:
+    """How many worker processes `run_experiment` runs, checked on the
+    in-process pool stand-in: nothing forks."""
+
+    def test_auto_workers_use_every_usable_cpu(self, monkeypatch, pool_widths):
+        _pin_cpus(monkeypatch, {0, 1, 2})
+        records, _ = run_experiment(_small_cfg(runs=10), workers=0)
+        assert pool_widths == [3]
+        assert len(records) == 40
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch, pool_widths):
+        _pin_cpus(monkeypatch, {0, 1, 2})
+        run_experiment(_small_cfg(functions=("zhou1",), runs=5), workers=10**6)
+        assert pool_widths == [3]
+
+    def test_one_usable_cpu_builds_no_pool(self, monkeypatch, pool_widths):
+        _pin_cpus(monkeypatch, {5})
+        cfg = _small_cfg(functions=("zhou1",), algorithms=("gwo",), runs=3)
+        for workers in (0, 4):
+            records, _ = run_experiment(cfg, workers=workers)
+            assert len(records) == 3
+        assert pool_widths == []
+
+    def test_workers_fall_back_to_cpu_count(self, monkeypatch, pool_widths):
+        cfg = _small_cfg(functions=("zhou1",), algorithms=("gwo",), runs=10)
+        _pin_cpus(monkeypatch, None, count=6)
+        run_experiment(cfg, workers=0)
+        run_experiment(cfg, workers=4)
+        assert pool_widths == [6, 4]
+        _pin_cpus(monkeypatch, None, count=None)
+        records, _ = run_experiment(cfg, workers=0)
+        assert pool_widths == [6, 4]
+        assert len(records) == 10
+
+
 class TestRunExperiment:
     def test_grid_cardinality_and_order(self):
         cfg = _small_cfg()
@@ -359,7 +427,8 @@ class TestRunExperiment:
         )
         assert keys == sorted_keys
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, monkeypatch):
+        _pin_cpus(monkeypatch, {0, 1, 2})
         cfg = _small_cfg()
         serial_records, serial_summary = run_experiment(cfg, workers=1)
         parallel_records, parallel_summary = run_experiment(cfg, workers=3)
@@ -370,7 +439,8 @@ class TestRunExperiment:
             assert np.array_equal(a.best_point, b.best_point)
         assert serial_summary == parallel_summary
 
-    def test_workers_do_not_change_curve_files(self, tmp_path):
+    def test_workers_do_not_change_curve_files(self, tmp_path, monkeypatch):
+        _pin_cpus(monkeypatch, {0, 1})
         cfg = _small_cfg(
             functions=("zhou1",), algorithms=algos.ALGORITHMS, T_values=(30,),
             capture_curves=True,
@@ -387,28 +457,11 @@ class TestRunExperiment:
         assert len(files[1]) == len(cfg.algorithms)
         assert files[1] == files[2]
 
-    def test_pool_never_wider_than_task_list(self, monkeypatch):
-        requested = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, **kwargs):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_never_wider_than_task_list(self, monkeypatch, pool_widths):
+        _pin_cpus(monkeypatch, range(8))
         cfg = _small_cfg(functions=("zhou1",), algorithms=("gwo",))
         records, _ = run_experiment(cfg, workers=10**6)
-        assert requested == [2]
+        assert pool_widths == [2]
         assert len(records) == 2
 
     @pytest.mark.parametrize("workers", (1.5, True, "2"))
@@ -420,13 +473,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="^workers must be an integer"):
             run_experiment(_small_cfg(runs=3), workers=workers)
 
+    def test_negative_workers_rejected_before_any_run(self, monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_single", no_run)
+        with pytest.raises(ValueError, match="^workers must be >= 0$"):
+            run_experiment(_small_cfg(runs=3), workers=-3)
+
     @pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
-    def test_stopped_pool_leaves_no_worker(self, error):
+    def test_stopped_pool_leaves_no_worker(self, error, monkeypatch):
         def stop(rec):
             raise error("stop")
 
+        _pin_cpus(monkeypatch, {0, 1})
         with pytest.raises(error):
             run_experiment(_small_cfg(runs=10), workers=2, progress=stop)
+        assert multiprocessing.active_children() == []
+
+    def test_run_failing_in_a_worker_leaves_no_worker(self, monkeypatch):
+        def fail(*args):
+            raise ValueError(f"run failed in process {os.getpid()}")
+
+        _pin_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(harness, "run_single", fail)
+        with pytest.raises(ValueError, match=r"^run failed in process \d+$") as exc:
+            run_experiment(_small_cfg(runs=10), workers=2)
+        assert int(str(exc.value).split()[-1]) != os.getpid()
         assert multiprocessing.active_children() == []
 
     def test_summary_aggregates_runs(self):

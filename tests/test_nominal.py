@@ -278,6 +278,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^steps must be an integer, got "):
             _simulate(0.5, [[0.0], [1.0]], steps)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (True, "^alpha must be a real number, got True$"),
+            ("x", "^alpha must be a real number, got 'x'$"),
+            (None, "^alpha must be a real number, got None$"),
+            (10**400, "^alpha must be a real number within float64, got 1000"),
+            (float("nan"), "^alpha must be finite$"),
+            (np.inf, "^alpha must be finite$"),
+        ],
+        ids=["bool", "str", "None", "huge-int", "nan", "inf"],
+    )
+    def test_alpha_must_be_a_finite_real(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            NominalConfig(alpha=alpha)
+
+    def test_alpha_becomes_a_float(self):
+        cfg = NominalConfig(alpha=np.float32(0.5))
+        assert type(cfg.alpha) is float and cfg.alpha == 0.5
+        assert type(NominalConfig(alpha=1).alpha) is float
+
     def test_non_integer_stagnant_entry_rejected(self):
         # int() would truncate 1.7 to index 1.
         with pytest.raises(
