@@ -40,7 +40,6 @@ __all__ = [
     "fd_gradient",
     "FD_STEP",
     "objective",
-    "sphere_objective",
 ]
 
 FUNCTIONS = ("zhou1", "zhou2", "zhou3")
@@ -65,11 +64,11 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
-def _as_batch(name: str, X: np.ndarray) -> np.ndarray:
+def _as_batch(X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
-    if X.shape[1] < 2 and name != "sphere":
+    if X.shape[1] < 2:
         raise ValueError(_DIM_MESSAGE)
     if not np.isfinite(X).all():
         raise ValueError("batch contains non-finite coordinates")
@@ -79,13 +78,13 @@ def _as_batch(name: str, X: np.ndarray) -> np.ndarray:
 def value_batch(name: str, X: np.ndarray) -> np.ndarray:
     """Evaluate `name` at every row of `X`, shape (n, dim) -> (n,)."""
     _check_name(name)
-    return VALUE[name](_as_batch(name, X))
+    return VALUE[name](_as_batch(X))
 
 
 def gradient_batch(name: str, X: np.ndarray) -> np.ndarray:
     """Analytic gradients at every row of `X`, shape (n, dim) -> (n, dim)."""
     _check_name(name)
-    return GRAD[name](_as_batch(name, X))
+    return GRAD[name](_as_batch(X))
 
 
 def value(name: str, x) -> float:
@@ -168,30 +167,12 @@ def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> Objective
     _check_name(name)
     dim = _check_dim(dim)
     if bounds is None:
-        bounds = Bounds.cube(-100.0, 100.0, dim)
+        bounds = Bounds(-100.0, 100.0, dim)
     if bounds.dim != dim:
         raise ValueError("bounds dimension does not match dim")
     return ObjectiveSpec(
         name=name,
         batch_evaluator=lambda X, _n=name: value_batch(_n, X),
         batch_gradient=lambda X, _n=name: gradient_batch(_n, X),
-        domain=bounds,
-    )
-
-
-def sphere_objective(dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:
-    """The sphere function ``sum(x^2)`` as a smoke-test objective over
-    `bounds` (default [-100, 100]^dim)."""
-    dim = as_integer("dim", dim)
-    if dim < 1:
-        raise ValueError("sphere needs dim >= 1")
-    if bounds is None:
-        bounds = Bounds.cube(-100.0, 100.0, dim)
-    if bounds.dim != dim:
-        raise ValueError("bounds dimension does not match dim")
-    return ObjectiveSpec(
-        name="sphere",
-        batch_evaluator=lambda X: VALUE["sphere"](_as_batch("sphere", X)),
-        batch_gradient=lambda X: GRAD["sphere"](_as_batch("sphere", X)),
         domain=bounds,
     )

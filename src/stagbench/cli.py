@@ -9,7 +9,8 @@ experiment  execute the full grid from config file / flags
 verify      run the exact-dynamics and gradient self-checks
 
 Exit codes: 0 success, 1 verification checks failed, 2 usage or validation
-error, 3 I/O error, 130 interrupted (Ctrl-C).
+error (a size whose arrays cannot be allocated is one), 3 I/O error, 130
+interrupted (Ctrl-C).
 
 Experiment configuration is a flat ``key = value`` file (lists
 comma-separated); command-line flags override file values.  The
@@ -336,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

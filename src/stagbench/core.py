@@ -12,6 +12,7 @@ and seeds.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -87,42 +88,35 @@ def euclidean_norm(v: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Bounds:
-    """Axis-aligned box constraints, one (lo, hi) pair per dimension."""
+    """The cube [lo, hi]^dim."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: float
+    hi: float
+    dim: int
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lo, dtype=np.float64))
-        hi = np.atleast_1d(np.asarray(self.hi, dtype=np.float64))
-        if lo.ndim != 1 or hi.ndim != 1 or lo.size != hi.size or lo.size < 1:
-            raise ValueError("bounds must be 1-D arrays of equal nonzero length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("bounds must be finite")
-        if not np.all(lo < hi):
-            raise ValueError("each lower bound must be strictly below its upper bound")
-        with np.errstate(over="ignore"):
-            finite_span = np.isfinite(hi - lo).all()
-        if not finite_span:
-            raise ValueError("bounds must have a finite width hi - lo in float64")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @classmethod
-    def cube(cls, lo: float, hi: float, dim: int) -> "Bounds":
-        """Box with the same (lo, hi) in every one of `dim` dimensions."""
+        for field in ("lo", "hi"):
+            value = as_real(field, getattr(self, field))
+            if not math.isfinite(value):
+                raise ValueError(f"bounds must be finite, got {field}={value!r}")
+            object.__setattr__(self, field, value)
+        if not self.lo < self.hi:
+            raise ValueError(
+                "the lower bound must be strictly below the upper bound, "
+                f"got lo={self.lo!r}, hi={self.hi!r}"
+            )
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                "bounds must have a finite width hi - lo in float64, "
+                f"got lo={self.lo!r}, hi={self.hi!r}"
+            )
+        dim = as_integer("dim", self.dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        return cls(np.full(dim, float(lo)), np.full(dim, float(hi)))
+        object.__setattr__(self, "dim", dim)
 
     @property
-    def dim(self) -> int:
-        return self.lo.size
-
-    @property
-    def span(self) -> np.ndarray:
+    def span(self) -> float:
         return self.hi - self.lo
 
     def clip(self, x: np.ndarray) -> np.ndarray:

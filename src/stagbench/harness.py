@@ -144,7 +144,7 @@ class ExperimentConfig:
             raise ValueError("stationarity_threshold must be finite, got inf")
 
     def domain(self) -> Bounds:
-        return Bounds.cube(self.bounds_lo, self.bounds_hi, self.dim)
+        return Bounds(self.bounds_lo, self.bounds_hi, self.dim)
 
 
 @dataclass(frozen=True, slots=True)

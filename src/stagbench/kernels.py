@@ -125,23 +125,13 @@ def zhou3_grad_np(X: np.ndarray) -> np.ndarray:
     return g
 
 
-def sphere_value_np(X: np.ndarray) -> np.ndarray:
-    return _fold(X[:, 0] * X[:, 0], X[:, 1:] * X[:, 1:])
-
-
-def sphere_grad_np(X: np.ndarray) -> np.ndarray:
-    return 2.0 * X
-
-
 VALUE = {
     "zhou1": zhou1_value_np,
     "zhou2": zhou2_value_np,
     "zhou3": zhou3_value_np,
-    "sphere": sphere_value_np,
 }
 GRAD = {
     "zhou1": zhou1_grad_np,
     "zhou2": zhou2_grad_np,
     "zhou3": zhou3_grad_np,
-    "sphere": sphere_grad_np,
 }

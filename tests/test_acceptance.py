@@ -24,11 +24,11 @@ import os
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import record_criterion, sphere_objective
 
 import stagbench.algorithms as algos
 from stagbench import benchmarks, verify
-from stagbench.benchmarks import objective, optimum, sphere_objective
+from stagbench.benchmarks import objective, optimum
 from stagbench.core import derive_stream
 from stagbench.harness import (
     TERMINATION_STAGNATION,

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import sphere_objective
 
 import stagbench.algorithms as algos
 from stagbench import benchmarks
 from stagbench.algorithms import clpso, gl25, gwo, hho, lshade
-from stagbench.benchmarks import objective, sphere_objective
+from stagbench.benchmarks import objective
 from stagbench.core import BestTracker, Bounds, ObjectiveSpec, derive_stream
 
 
@@ -97,7 +98,7 @@ class TestHelpers:
             name="table",
             batch_evaluator=table,
             batch_gradient=lambda X: np.zeros_like(X),
-            domain=Bounds.cube(-1.0, 1.0, 2),
+            domain=Bounds(-1.0, 1.0, 2),
         )
         state.tracker = BestTracker(np.zeros(2), 10.0)
         state.generation, state.evaluations = 7, 100
@@ -284,7 +285,7 @@ class TestClpsoSpecifics:
     def test_velocity_capped(self):
         obj = objective("zhou3", 3)
         state = algos.init("clpso", obj, _stream("clpso", seed=5), 500)
-        vmax = clpso.VMAX_FRACTION * float(obj.domain.span[0])
+        vmax = clpso.VMAX_FRACTION * obj.domain.span
         for _ in range(40):
             state = algos.step(state)
             assert np.all(np.abs(state.memory["velocity"]) <= vmax + 1e-12)

@@ -88,6 +88,14 @@ class TestEvaluators:
         with pytest.raises(ValueError, match="dim >= 2"):
             fn("zhou1", [1.0])
 
+    @pytest.mark.parametrize("method", ("value_batch", "gradient_batch"))
+    def test_batches_validated(self, method):
+        call = getattr(benchmarks, method)
+        with pytest.raises(ValueError, match="non-finite"):
+            call("zhou1", np.array([[np.nan, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="2-D batch"):
+            call("zhou1", np.zeros(3))
+
     def test_batch_matches_scalar(self):
         gen = np.random.Generator(np.random.PCG64(0))
         X = gen.uniform(-2.0, 2.0, size=(16, 3))
@@ -138,20 +146,6 @@ class TestObjectiveFactory:
         assert np.array_equal(obj.value_batch(X), benchmarks.value_batch(name, X))
 
     def test_custom_bounds_respected(self):
-        bounds = Bounds.cube(-5.0, 5.0, 3)
+        bounds = Bounds(-5.0, 5.0, 3)
         obj = benchmarks.objective("zhou2", 3, bounds)
         assert obj.domain is bounds
-
-    def test_sphere_objective(self):
-        obj = benchmarks.sphere_objective(3)
-        X = np.array([np.zeros(3), np.ones(3)])
-        assert obj.value_batch(X).tolist() == [0.0, 3.0]
-        assert np.array_equal(obj.grad(np.ones(3)), 2.0 * np.ones(3))
-
-    @pytest.mark.parametrize("method", ("batch_evaluator", "batch_gradient"))
-    def test_sphere_batches_validated_like_zhou(self, method):
-        call = getattr(benchmarks.sphere_objective(3), method)
-        with pytest.raises(ValueError, match="non-finite"):
-            call(np.array([[np.nan, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match="2-D batch"):
-            call(np.zeros(3))

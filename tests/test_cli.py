@@ -208,6 +208,15 @@ class TestNominalCommand:
             "error: --stagnant must be comma-separated integers, got 'a'\n"
         )
 
+    def test_size_that_cannot_be_allocated_fails_in_one_line(self):
+        # 1e9 x 1e6 float64s is about 7 PiB, past the 128 TiB user address
+        # space, so the allocation fails at once whatever the overcommit rule.
+        proc = _stagbench([], "nominal", "--alpha", "0.5", "--n", "1000000000",
+                          "--dim", "1000000")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
     def test_divergence_stays_finite_until_float64_ends(self, warning_flags):
         proc = _stagbench(warning_flags, "nominal", "--alpha", "1.5",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -40,34 +41,72 @@ class TestAsPoint:
 
 class TestBounds:
     def test_cube_and_span(self):
-        b = Bounds.cube(-100.0, 100.0, 3)
-        assert b.dim == 3
-        assert np.all(b.span == 200.0)
+        b = Bounds(-100.0, 100.0, 3)
+        assert [f.name for f in dataclasses.fields(Bounds)] == ["lo", "hi", "dim"]
+        assert (b.lo, b.hi, b.dim, b.span) == (-100.0, 100.0, 3, 200.0)
+
+    def test_fields_become_python_scalars(self):
+        b = Bounds(np.float32(-1.5), 2, np.int64(4))
+        assert (b.lo, b.hi, b.dim) == (-1.5, 2.0, 4)
+        assert (type(b.lo), type(b.hi), type(b.dim)) == (float, float, int)
 
     def test_clip_and_contains(self):
         # A point lies in the box exactly when clipping leaves it unchanged.
-        b = Bounds.cube(-1.0, 1.0, 2)
+        b = Bounds(-1.0, 1.0, 2)
         clipped = b.clip(np.array([[2.0, -3.0]]))
         assert np.all(clipped == [[1.0, -1.0]])
         inside, outside = np.array([0.5, -0.5]), np.array([1.5, 0.0])
         assert np.array_equal(b.clip(inside), inside)
         assert not np.array_equal(b.clip(outside), outside)
 
+    @pytest.mark.parametrize("dim", (2, 3, 10))
+    def test_clip_matches_per_dimension_arrays(self, dim):
+        b = Bounds(-100.0, 100.0, dim)
+        X = np.random.Generator(np.random.PCG64(dim)).normal(0.0, 150.0, (54, dim))
+        X[0, 0], X[1, -1] = -0.0, 100.0
+        lo, hi = np.full(dim, -100.0), np.full(dim, 100.0)
+        for P in (X, X[0]):
+            assert b.clip(P).view(np.uint64).tolist() == P.clip(lo, hi).view(np.uint64).tolist()
+
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            Bounds(np.array([1.0]), np.array([0.0]))
+        for lo, hi in ((1.0, 0.0), (0.5, 0.5), (-0.0, 0.0)):
+            with pytest.raises(ValueError, match=f"strictly below.*lo={lo}, hi={hi}$"):
+                Bounds(lo, hi, 2)
 
     def test_rejects_box_wider_than_float64_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="bounds must have a finite width"):
-                Bounds(np.array([-1.0, -1e308]), np.array([1.0, 1e308]))
-            assert np.all(np.isfinite(Bounds.cube(-8e307, 8e307, 2).span))
+            with pytest.raises(ValueError, match="bounds must have a finite width hi - lo"):
+                Bounds(-1e308, 1e308, 2)
+            assert np.isfinite(Bounds(-8e307, 8e307, 2).span)
 
-    def test_bounds_arrays_read_only(self):
-        b = Bounds.cube(0.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            b.lo[0] = -1.0
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        (
+            (dict(lo="a"), "^lo must be a real number"),
+            (dict(hi=None), "^hi must be a real number"),
+            (dict(lo=True), "^lo must be a real number"),
+            (dict(hi=10**400), "^hi must be a real number within float64"),
+            (dict(lo=-np.inf), "^bounds must be finite, got lo=-inf$"),
+            (dict(hi=np.inf), "^bounds must be finite, got hi=inf$"),
+            (dict(lo=np.nan), "^bounds must be finite, got lo=nan$"),
+            (dict(dim=0), "^dim must be >= 1$"),
+            (dict(dim=-3), "^dim must be >= 1$"),
+            (dict(dim=2.0), "^dim must be an integer"),
+            (dict(dim=True), "^dim must be an integer"),
+            (dict(dim="3"), "^dim must be an integer"),
+        ),
+    )
+    def test_rejects_bad_field_naming_it(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Bounds(**{"lo": -1.0, "hi": 1.0, "dim": 2, **kwargs})
+
+    def test_box_is_frozen(self):
+        b = Bounds(0.0, 1.0, 2)
+        for field, value in (("lo", -1.0), ("hi", 2.0), ("dim", 3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(b, field, value)
+        assert (b.lo, b.hi, b.dim) == (0.0, 1.0, 2)
 
 
 class TestRngStreams:
@@ -215,7 +254,7 @@ class TestObjectiveSpec:
             name="quad",
             batch_evaluator=lambda X: np.einsum("ij,ij->i", X, X),
             batch_gradient=lambda X: 2.0 * X,
-            domain=Bounds.cube(-1.0, 1.0, 2),
+            domain=Bounds(-1.0, 1.0, 2),
         )
 
     def test_value_and_grad_roundtrip(self):

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import sphere_objective
 
 import stagbench.algorithms as algos
 import stagbench.harness as harness
-from stagbench.benchmarks import objective, sphere_objective
+from stagbench.benchmarks import objective
 from stagbench.core import derive_stream
 from stagbench.harness import (
     TERMINATION_CAP,
