@@ -4,8 +4,7 @@ Subcommands
 -----------
 nominal     simulate the nominal consensus dynamics, CSV on stdout
 bench       evaluate a benchmark function (value, gradient, gradient norm)
-run         execute one (function, algorithm, T) cell, write report files
-experiment  execute the full grid from config file / flags
+experiment  execute the grid from config file / flags, write report files
 verify      run the exact-dynamics and gradient self-checks
 
 Exit codes: 0 success, 1 verification checks failed, 2 usage or validation
@@ -14,8 +13,10 @@ interrupted (Ctrl-C).
 
 Experiment configuration is a flat ``key = value`` file (lists
 comma-separated); command-line flags override file values.  The
-recognized keys are ``CONFIG_KEYS``, in the order of the table that parses
-them.
+recognized keys are ``CONFIG_KEYS``, in the order of ``_CONFIG_TABLE``.
+That table also declares each key's ``experiment`` flag, and a flag's text
+goes through the same parser as a file line, so both fail with the same
+error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence
+import tempfile
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,18 +33,7 @@ from . import benchmarks, harness, nominal, verify
 from .core import derive_stream, euclidean_norm
 from .harness import ExperimentConfig, format_float
 
-__all__ = ["main", "parse_config", "CliConfig", "CONFIG_KEYS"]
-
-@dataclass(frozen=True)
-class CliConfig:
-    """ExperimentConfig plus CLI-level output and worker settings."""
-
-    experiment: ExperimentConfig
-    output_dir: str = "results"
-    workers: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "workers", harness.check_workers(self.workers))
+__all__ = ["main", "parse_config", "CONFIG_KEYS"]
 
 
 def _parse_list(text) -> List[str]:
@@ -70,22 +60,33 @@ def _boolean(text) -> bool:
     return low in _BOOL_TRUE
 
 
-# Config key -> (the fields it sets, its parser, what its value must be).
-# `workers` and `output_dir` are CliConfig fields; the rest go to
-# ExperimentConfig.
+# Config key -> (the fields it sets, its parser, what its value must be,
+# its `experiment` flag, the flag's help).  `workers` and `output_dir` are
+# returned beside the ExperimentConfig; the rest are its fields.
 _CONFIG_TABLE = {
-    "functions": (("functions",), _parse_list, "a comma-separated name list"),
-    "algorithms": (("algorithms",), _parse_list, "a comma-separated name list"),
-    "T": (("T_values",), _integers, "a comma-separated integer list"),
-    "runs": (("runs",), int, "an integer"),
-    "dim": (("dim",), int, "an integer"),
-    "bounds": (("bounds_lo", "bounds_hi"), _pair, "'lo,hi' numbers"),
-    "base_seed": (("base_seed",), int, "an integer"),
-    "max_generations": (("max_generations",), int, "an integer"),
-    "stationarity_threshold": (("stationarity_threshold",), float, "a number"),
-    "workers": (("workers",), int, "an integer"),
-    "output_dir": (("output_dir",), str, "a path"),
-    "curves": (("capture_curves",), _boolean, "a boolean"),
+    "functions": (("functions",), _parse_list, "a comma-separated name list",
+                  "--functions", "comma-separated benchmark names"),
+    "algorithms": (("algorithms",), _parse_list, "a comma-separated name list",
+                   "--algorithms", "comma-separated algorithm names"),
+    "T": (("T_values",), _integers, "a comma-separated integer list",
+          "--T", "comma-separated stagnation horizons"),
+    "runs": (("runs",), int, "an integer", "--runs", "runs per cell"),
+    "dim": (("dim",), int, "an integer", "--dim", "dimension"),
+    "bounds": (("bounds_lo", "bounds_hi"), _pair, "'lo,hi' numbers",
+               "--bounds", "lo,hi of the cube [lo, hi]^dim"),
+    "base_seed": (("base_seed",), int, "an integer",
+                  "--seed", "base seed (default 42)"),
+    "max_generations": (("max_generations",), int, "an integer",
+                        "--max-generations", "safety cap on generations per run"),
+    "stationarity_threshold": (("stationarity_threshold",), float, "a number",
+                               "--threshold", "stationarity threshold"),
+    "workers": (("workers",), int, "an integer", "--workers",
+                "worker processes (0 = auto); capped at the usable CPU count "
+                "and at the number of runs"),
+    "output_dir": (("output_dir",), str, "a path",
+                   "--out", "output directory (default results)"),
+    "curves": (("capture_curves",), _boolean, "a boolean",
+               "--curves", "capture per-generation curves"),
 }
 CONFIG_KEYS = tuple(_CONFIG_TABLE)
 
@@ -120,8 +121,9 @@ def read_config_file(path: str) -> dict:
 
 def parse_config(
     file_path: Optional[str] = None, overrides: Optional[dict] = None
-) -> CliConfig:
-    """Build a CliConfig from an optional file plus flag overrides."""
+) -> Tuple[ExperimentConfig, str, int]:
+    """Build ``(ExperimentConfig, output_dir, workers)`` from an optional
+    file plus flag overrides; `workers` has passed `harness.check_workers`."""
     raw = read_config_file(file_path) if file_path else {}
     for key, val in (overrides or {}).items():
         if val is None:
@@ -131,15 +133,16 @@ def parse_config(
         raw[key] = val
 
     kwargs = {}
-    for key, (targets, parse, kind) in _CONFIG_TABLE.items():
+    for key, (targets, parse, kind, _, _) in _CONFIG_TABLE.items():
         if key in raw:
             try:
                 value = parse(raw[key])
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must be {kind}, got {raw[key]!r}") from None
             kwargs.update(zip(targets, value if len(targets) > 1 else (value,)))
-    cli = {f.name: kwargs.pop(f.name) for f in fields(CliConfig) if f.name in kwargs}
-    return CliConfig(experiment=ExperimentConfig(**kwargs), **cli)
+    output_dir = kwargs.pop("output_dir", "results")
+    workers = harness.check_workers(kwargs.pop("workers", 0))
+    return ExperimentConfig(**kwargs), output_dir, workers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -183,46 +186,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=benchmarks.BRANCHES,
         help="use the closed-form optimum (branch, default minus)",
     )
-    p.add_argument("--dim", type=int, default=3, help="dimension for --optimum")
+    p.add_argument(
+        "--dim", type=int,
+        help="dimension for --optimum (default 3); with --point, its length",
+    )
 
-    for name, help_text in (
-        ("run", "run one (function, algorithm, T) cell"),
-        ("experiment", "run the full grid"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name == "run":
-            p.add_argument("--function", dest="functions", required=True)
-            p.add_argument("--algorithm", dest="algorithms", required=True)
-            p.add_argument("--T", type=int, required=True)
-            p.add_argument("--runs", type=int, default=1)
-        else:
-            p.add_argument("--config", help="key = value config file")
-            p.add_argument("--functions", help="comma-separated benchmark names")
-            p.add_argument("--algorithms", help="comma-separated algorithm names")
-            p.add_argument("--T", help="comma-separated stagnation horizons")
-            p.add_argument("--runs", type=int)
-        p.add_argument("--dim", type=int)
-        p.add_argument("--bounds", help="lo,hi")
-        p.add_argument("--seed", dest="base_seed", type=int, help="base seed (default 42)")
-        p.add_argument("--max-generations", type=int)
-        p.add_argument("--threshold", dest="stationarity_threshold", type=float,
-                       help="stationarity threshold")
-        p.add_argument(
-            "--workers", type=int,
-            help="worker processes (0 = auto); capped at the usable CPU count "
-            "and at the number of runs",
-        )
-        p.add_argument("--out", dest="output_dir",
-                       help="output directory (default results)")
-        cg = p.add_mutually_exclusive_group()
-        cg.add_argument(
-            "--curves", dest="curves", action="store_true", default=None,
-            help="capture per-generation curves",
-        )
-        cg.add_argument(
-            "--no-curves", dest="curves", action="store_false",
-            help="disable curve capture",
-        )
+    p = sub.add_parser("experiment", help="run the grid, write report files")
+    p.add_argument("--config", help="key = value config file")
+    for key, (_, parse, _, flag, help_text) in _CONFIG_TABLE.items():
+        action = argparse.BooleanOptionalAction if parse is _boolean else None
+        p.add_argument(flag, dest=key, action=action, help=help_text)
 
     p = sub.add_parser("verify", help="run the exact-dynamics and gradient checks")
 
@@ -265,8 +238,13 @@ def _cmd_bench(args) -> int:
             point = np.array([float(x) for x in _parse_list(args.point)])
         except ValueError:
             raise ValueError(f"--point must be comma-separated numbers, got {args.point!r}")
+        if args.dim is not None and args.dim != point.size:
+            raise ValueError(
+                f"--dim is {args.dim} but --point has {point.size} coordinates"
+            )
     else:
-        point = benchmarks.optimum(name, args.dim, args.optimum)
+        point = benchmarks.optimum(name, 3 if args.dim is None else args.dim,
+                                   args.optimum)
     with np.errstate(over="ignore", invalid="ignore"):
         value = benchmarks.value(name, point)
         grad = benchmarks.gradient(name, point)
@@ -284,31 +262,24 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_grid(args) -> int:
-    cli_cfg = parse_config(
-        getattr(args, "config", None),
-        {key: getattr(args, key, None) for key in CONFIG_KEYS},
+def _cmd_experiment(args) -> int:
+    cfg, output_dir, workers = parse_config(
+        args.config, {key: getattr(args, key) for key in CONFIG_KEYS}
     )
-    cfg = cli_cfg.experiment
     try:
-        os.makedirs(cli_cfg.output_dir, exist_ok=True)
-        probe = os.path.join(cli_cfg.output_dir, ".write_probe")
-        with open(probe, "w"):
+        os.makedirs(output_dir, exist_ok=True)
+        # An anonymous file, so no file of the user's can be overwritten.
+        with tempfile.TemporaryFile(dir=output_dir):
             pass
-        os.remove(probe)
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 3
-    records, summary = harness.run_experiment(cfg, workers=cli_cfg.workers)
+    records, summary = harness.run_experiment(cfg, workers=workers)
     try:
-        harness.write_records(
-            records, os.path.join(cli_cfg.output_dir, "records.csv")
-        )
-        harness.write_summary(
-            summary, os.path.join(cli_cfg.output_dir, "summary.csv")
-        )
+        harness.write_records(records, os.path.join(output_dir, "records.csv"))
+        harness.write_summary(summary, os.path.join(output_dir, "summary.csv"))
         if cfg.capture_curves:
-            harness.write_curves(records, cli_cfg.output_dir)
+            harness.write_curves(records, output_dir)
     except OSError as exc:
         print(f"error: failed writing reports: {exc}", file=sys.stderr)
         return 3
@@ -331,16 +302,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = {
         "nominal": _cmd_nominal,
         "bench": _cmd_bench,
-        "run": _cmd_grid,
-        "experiment": _cmd_grid,
+        "experiment": _cmd_experiment,
         "verify": _cmd_verify,
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, KeyError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValueError, KeyError, MemoryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from stagbench import harness, verify
-from stagbench.cli import CliConfig, main, parse_config, read_config_file
+from stagbench.cli import (CONFIG_KEYS, _build_parser, main, parse_config,
+                           read_config_file)
 from stagbench.harness import ExperimentConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -26,19 +27,27 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FAST_CELL = [
     "--functions", "zhou1", "--algorithms", "gwo", "--T", "50", "--runs", "2",
 ]
+ONE_RUN = ["--functions", "zhou1", "--algorithms", "gwo", "--T", "5", "--runs", "1"]
+
+
+def _from_flags(*argv: str):
+    """`experiment`'s flags `argv` parsed as the command parses them."""
+    args = _build_parser().parse_args(["experiment", *argv])
+    return parse_config(args.config, {key: getattr(args, key) for key in CONFIG_KEYS})
+
+
+def _expected(output_dir="results", workers=0, **fields):
+    return ExperimentConfig(**fields), output_dir, workers
 
 
 class TestParseConfig:
     def test_empty_file_gives_documented_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
         path.write_text("# nothing but a comment\n\n")
-        cli_cfg = parse_config(str(path))
-        assert cli_cfg.experiment == ExperimentConfig()
-        assert cli_cfg.output_dir == "results"
-        assert cli_cfg.workers == 0
+        assert parse_config(str(path)) == (ExperimentConfig(), "results", 0)
 
     def test_no_file_gives_documented_defaults(self):
-        cfg = parse_config().experiment
+        cfg, _, _ = parse_config()
         assert cfg.functions == ("zhou1", "zhou2", "zhou3")
         assert len(cfg.algorithms) == 6
         assert cfg.T_values == (100, 200, 300, 500, 1000)
@@ -59,20 +68,19 @@ class TestParseConfig:
             "workers = 2\n"
             "output_dir = out\n"
         )
-        cli_cfg = parse_config(str(path))
-        cfg = cli_cfg.experiment
+        cfg, output_dir, workers = parse_config(str(path))
         assert cfg.functions == ("zhou1", "zhou3")
         assert cfg.T_values == (100, 200)
         assert cfg.runs == 5
         assert (cfg.bounds_lo, cfg.bounds_hi) == (-10.0, 10.0)
         assert cfg.capture_curves is True
-        assert cli_cfg.workers == 2
-        assert cli_cfg.output_dir == "out"
+        assert workers == 2
+        assert output_dir == "out"
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "grid.cfg"
         path.write_text("T = 100, 200\n")
-        cfg = parse_config(str(path), {"T": "100"}).experiment
+        cfg, _, _ = parse_config(str(path), {"T": "100"})
         assert cfg.T_values == (100,)
 
     def test_key_set_twice_in_one_file_rejected(self, tmp_path):
@@ -81,7 +89,7 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=r"twice\.cfg:3: key 'runs' is set twice"):
             read_config_file(str(path))
         path.write_text("runs = 2\n")
-        assert parse_config(str(path), {"runs": 3}).experiment.runs == 3
+        assert parse_config(str(path), {"runs": 3})[0].runs == 3
 
     def test_unknown_key_names_offender(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -105,18 +113,128 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="bad.cfg:1"):
             read_config_file(str(path))
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            CliConfig(experiment=ExperimentConfig(), workers=-1)
+    @pytest.mark.parametrize("text", ("-1", "1.5"))
+    def test_bad_workers_rejected_before_the_output_directory(
+            self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        assert main(["experiment", *ONE_RUN, "--workers", text,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: workers must be ")
+        assert not out.exists()
 
-    @pytest.mark.parametrize("workers", (1.5, True, "2"))
-    def test_non_integer_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="^workers must be an integer"):
-            CliConfig(experiment=ExperimentConfig(), workers=workers)
 
-    def test_numpy_integer_workers_become_an_int(self):
-        cli_cfg = CliConfig(experiment=ExperimentConfig(), workers=np.int64(2))
-        assert type(cli_cfg.workers) is int and cli_cfg.workers == 2
+# For each config key: a text its parser or ExperimentConfig rejects, and
+# the one stderr line and exit code it gives.  Any string is a path, so the
+# bad output_dir is one that cannot be created: an I/O error.
+MALFORMED = {
+    "functions": ("zhou9", "error: unknown function 'zhou9'; expected one of "
+                  "('zhou1', 'zhou2', 'zhou3')\n", 2),
+    "algorithms": ("pso", "error: unknown algorithm 'pso'; expected one of "
+                   "('gl25', 'clpso', 'lshade', 'gwo', 'woa', 'hho')\n", 2),
+    "T": ("5,x", "error: T must be a comma-separated integer list, got '5,x'\n", 2),
+    "runs": ("2.5", "error: runs must be an integer, got '2.5'\n", 2),
+    "dim": ("x", "error: dim must be an integer, got 'x'\n", 2),
+    "bounds": ("1", "error: bounds must be 'lo,hi' numbers, got '1'\n", 2),
+    "base_seed": ("4.0", "error: base_seed must be an integer, got '4.0'\n", 2),
+    "max_generations": (
+        "1e3", "error: max_generations must be an integer, got '1e3'\n", 2),
+    "stationarity_threshold": (
+        "x", "error: stationarity_threshold must be a number, got 'x'\n", 2),
+    "workers": ("1.5", "error: workers must be an integer, got '1.5'\n", 2),
+    "output_dir": ("/dev/null/x", "error: output directory not writable: "
+                   "[Errno 20] Not a directory: '/dev/null/x'\n", 3),
+    "curves": ("maybe", "error: curves must be a boolean, got 'maybe'\n", 2),
+}
+
+# For each config key: a valid text, as `experiment` flags and as the value
+# of a config-file line.
+VALID = {
+    "functions": (["--functions", "zhou1,zhou3"], "zhou1, zhou3"),
+    "algorithms": (["--algorithms", "woa,gwo"], "woa,gwo"),
+    "T": (["--T", "100,200"], "100, 200"),
+    "runs": (["--runs", "5"], "5"),
+    "dim": (["--dim", "4"], "4"),
+    "bounds": (["--bounds=-10,10"], "-10, 10"),
+    "base_seed": (["--seed", "7"], "7"),
+    "max_generations": (["--max-generations", "5000"], "5000"),
+    "stationarity_threshold": (["--threshold", "0.5"], "0.5"),
+    "workers": (["--workers", "2"], "2"),
+    "output_dir": (["--out", "out"], "out"),
+    "curves": (["--curves"], "true"),
+}
+
+
+class TestOneParsePath:
+    """A flag's text and a config-file line reach the same parser."""
+
+    def test_tables_cover_every_key(self):
+        assert tuple(MALFORMED) == tuple(VALID) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_malformed_text_fails_alike(self, tmp_path, capsys, key):
+        text, err, code = MALFORMED[key]
+        flag = VALID[key][0][0].split("=")[0]
+        # A one-run cell, so a text that parsed by mistake would run briefly.
+        base = {"--functions": "zhou1", "--algorithms": "gwo", "--T": "5",
+                "--runs": "1", "--out": str(tmp_path / "out")}
+        argv = [f"{f}={v}" for f, v in base.items() if f != flag]
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        assert main(["experiment", *argv, "--config", str(cfg_file)]) == code
+        assert capsys.readouterr().err == err
+        if key == "curves":
+            return  # a boolean flag carries no text
+        assert main(["experiment", *argv, f"{flag}={text}"]) == code
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_valid_text_parses_alike(self, tmp_path, key):
+        argv, text = VALID[key]
+        cfg_file = tmp_path / "good.cfg"
+        cfg_file.write_text(f"{key} = {text}\n")
+        assert _from_flags(*argv) == parse_config(str(cfg_file))
+        assert _from_flags(*argv) != parse_config()
+
+    def test_no_curves_flag_is_curves_false(self, tmp_path):
+        cfg_file = tmp_path / "good.cfg"
+        cfg_file.write_text("curves = false\n")
+        assert _from_flags("--no-curves") == parse_config(str(cfg_file))
+
+
+# Every flag `experiment` has accepted, with the value it parses to.
+FLAG_VALUES = (
+    (["--functions", "zhou2,zhou3"], _expected(functions=("zhou2", "zhou3"))),
+    (["--algorithms", "woa"], _expected(algorithms=("woa",))),
+    (["--T", "7,9"], _expected(T_values=(7, 9))),
+    (["--runs", "4"], _expected(runs=4)),
+    (["--dim", "5"], _expected(dim=5)),
+    (["--bounds", "3,4"], _expected(bounds_lo=3.0, bounds_hi=4.0)),
+    (["--bounds=-3,4"], _expected(bounds_lo=-3.0, bounds_hi=4.0)),
+    (["--seed", "7"], _expected(base_seed=7)),
+    (["--max-generations", "5000"], _expected(max_generations=5000)),
+    (["--threshold", "0.5"], _expected(stationarity_threshold=0.5)),
+    (["--workers", "3"], _expected(workers=3)),
+    (["--out", "elsewhere"], _expected(output_dir="elsewhere")),
+    (["--curves"], _expected(capture_curves=True)),
+    (["--no-curves"], _expected(capture_curves=False)),
+)
+
+
+class TestExperimentFlags:
+    """Every flag `experiment` has accepted parses to the value it always
+    has, so scripts that call the command keep working."""
+
+    @pytest.mark.parametrize("argv, expected", FLAG_VALUES,
+                             ids=[" ".join(argv) for argv, _ in FLAG_VALUES])
+    def test_flag_parses_to_its_value(self, argv, expected):
+        assert _from_flags(*argv) == expected
+
+    def test_config_flag_reads_the_file_under_the_flags(self, tmp_path):
+        cfg_file = tmp_path / "exp.cfg"
+        cfg_file.write_text("runs = 6\ndim = 5\n")
+        assert _from_flags("--config", str(cfg_file), "--dim", "4") == _expected(
+            runs=6, dim=4)
 
 
 class TestReadConfigFile:
@@ -252,6 +370,18 @@ class TestBenchCommand:
         value = float(out.split("value: ")[1].splitlines()[0])
         assert abs(value) <= 1e-8
 
+    def test_dim_must_match_the_point(self, capsys):
+        assert main(["bench", "zhou1", "--point", "1,2,8", "--dim", "3"]) == 0
+        assert "grad_norm: 0\n" in capsys.readouterr().out
+        assert main(["bench", "zhou1", "--point", "1,2,8", "--dim", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --dim is 5 but --point has 3 coordinates\n"
+
+    def test_optimum_dim_defaults_to_3(self, capsys):
+        assert main(["bench", "zhou1", "--optimum"]) == 0
+        assert "point: 1,2,8\n" in capsys.readouterr().out
+
     def test_unknown_function_exits_2_and_lists_names(self, capsys):
         # The one-coordinate point checks that the name is checked first.
         for point in ("1,2", "1"):
@@ -289,10 +419,7 @@ class TestBenchCommand:
 class TestRunAndExperimentCommands:
     def test_run_writes_reports_and_prints_table(self, tmp_path, capsys):
         out_dir = tmp_path / "cell"
-        code = main([
-            "run", "--function", "zhou1", "--algorithm", "gwo", "--T", "50",
-            "--runs", "2", "--out", str(out_dir),
-        ])
+        code = main(["experiment", *FAST_CELL, "--out", str(out_dir)])
         assert code == 0
         assert (out_dir / "records.csv").exists()
         assert (out_dir / "summary.csv").exists()
@@ -349,8 +476,8 @@ class TestRunAndExperimentCommands:
         assert "zebra" in capsys.readouterr().err
 
     def test_infinite_threshold_exits_2_and_names_key(self, tmp_path, capsys):
-        code = main(["run", "--function", "zhou1", "--algorithm", "gwo", "--T", "5",
-                     "--threshold", "inf", "--out", str(tmp_path)])
+        code = main(["experiment", *ONE_RUN, "--threshold", "inf",
+                     "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err == (
             "error: stationarity_threshold must be finite, got inf\n"
@@ -362,7 +489,8 @@ class TestRunAndExperimentCommands:
 
     def test_invalid_t_exits_2(self, capsys):
         code = main([
-            "run", "--function", "zhou1", "--algorithm", "gwo", "--T", "0",
+            "experiment", "--functions", "zhou1", "--algorithms", "gwo",
+            "--T", "0", "--runs", "1",
         ])
         assert code == 2
 
@@ -373,7 +501,7 @@ class TestRunAndExperimentCommands:
         assert f"bounds must be 'lo,hi' numbers, got '{bounds}'" in err
 
     def test_box_wider_than_float64_exits_2_and_names_key(self, capsys):
-        code = main(["run", "--function", "zhou1", "--algorithm", "gwo",
+        code = main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
                      "--T", "5", "--runs", "4", "--workers", "2",
                      "--bounds=-1e308,1e308"])
         assert code == 2
@@ -390,8 +518,8 @@ class TestRunAndExperimentCommands:
     def test_box_that_overflows_the_kernels_fails_in_one_line(
             self, tmp_path, warning_flags):
         proc = _stagbench(
-            warning_flags, "run", "--function", "zhou1", "--algorithm", "gwo",
-            "--T", "5", "--bounds=-1e307,1e307", "--out", str(tmp_path),
+            warning_flags, "experiment", *ONE_RUN, "--bounds=-1e307,1e307",
+            "--out", str(tmp_path),
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: every initial sample evaluated non-finite\n"
@@ -405,9 +533,17 @@ class TestRunAndExperimentCommands:
         assert capsys.readouterr().err == "interrupted\n"
 
     def test_unwritable_output_exits_3(self, capsys):
-        code = main(["run", "--function", "zhou1", "--algorithm", "gwo",
-                     "--T", "50", "--out", "/dev/null/x"])
+        code = main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
+                     "--T", "50", "--runs", "1", "--out", "/dev/null/x"])
         assert code == 3
+
+    def test_write_probe_leaves_the_users_files_alone(self, tmp_path):
+        (tmp_path / ".write_probe").write_text("notes\n")
+        assert main(["experiment", *ONE_RUN, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / ".write_probe").read_text() == "notes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".write_probe", "records.csv", "summary.csv",
+        ]
 
 
 class TestVerifyCommand:
@@ -596,8 +732,8 @@ class TestProcessPoolStack:
             ["nominal", "--alpha", "0.5", "--steps", "3"],
             ["bench", "zhou1", "--point", "1,2,8"],
             ["verify"],
-            ["run", "--function", "zhou1", "--algorithm", "gwo", "--T", "5",
-             "--runs", "2", "--workers", "1", "--out", str(tmp_path)],
+            ["experiment", "--functions", "zhou1", "--algorithms", "gwo",
+             "--T", "5", "--runs", "2", "--workers", "1", "--out", str(tmp_path)],
         ]
         script = (
             "import contextlib, io\n"
@@ -624,7 +760,7 @@ class TestInterrupt:
             "print('imported', flush=True)\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        argv = ["run", "--function", "zhou1", "--algorithm", "hho",
+        argv = ["experiment", "--functions", "zhou1", "--algorithms", "hho",
                 "--T", "1000", "--runs", "400", "--workers", "2",
                 "--out", str(tmp_path)]
         proc = subprocess.Popen(

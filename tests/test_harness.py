@@ -379,6 +379,21 @@ def _pin_cpus(monkeypatch, affinity, count=8):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
 
+class TestCheckWorkers:
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="^workers must be >= 0$"):
+            harness.check_workers(-1)
+
+    @pytest.mark.parametrize("workers", (1.5, True, "2"))
+    def test_non_integer_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="^workers must be an integer"):
+            harness.check_workers(workers)
+
+    def test_numpy_integer_workers_become_an_int(self):
+        workers = harness.check_workers(np.int64(2))
+        assert type(workers) is int and workers == 2
+
+
 class TestWorkerRule:
     """How many worker processes `run_experiment` runs, checked on the
     in-process pool stand-in: nothing forks."""
