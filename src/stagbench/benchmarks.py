@@ -14,9 +14,9 @@ global optima computable in closed form:
 * ``zhou3``: like ``zhou2`` with residual ``w = x[i+1]^2 + 2^i x[i]`` and
   multiplicative terms ``1e4 w^2 (1 + 1e4 sin^2(1e4 w^2))``.
 
-All minima have value exactly 0.  Batch evaluation dispatches to the kernels
-module; ``fd_gradient`` is an independent central-difference oracle used to
-cross-check the analytic gradients.
+All minima have value exactly 0.  Every evaluator takes an (n, dim) batch
+of points: values and gradients dispatch to the kernels module, and
+``fd_gradient`` is an independent central-difference check of the gradients.
 """
 
 from __future__ import annotations
@@ -25,15 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Bounds, ObjectiveSpec, as_integer, as_point
+from .core import Bounds, ObjectiveSpec, as_integer
 from .kernels import GRAD, VALUE
 
 __all__ = [
     "FUNCTIONS",
     "BRANCHES",
-    "value",
     "value_batch",
-    "gradient",
     "gradient_batch",
     "optimum",
     "optima",
@@ -87,17 +85,6 @@ def gradient_batch(name: str, X: np.ndarray) -> np.ndarray:
     return GRAD[name](_as_batch(X))
 
 
-def value(name: str, x) -> float:
-    """Evaluate `name` at a single point (the name is checked first)."""
-    return float(value_batch(name, as_point(x)[None, :])[0])
-
-
-def gradient(name: str, x) -> np.ndarray:
-    """Analytic gradient of `name` at a single point (the name is checked
-    first)."""
-    return gradient_batch(name, as_point(x)[None, :])[0]
-
-
 def optimum(name: str, dim: int, branch: str = "minus") -> np.ndarray:
     """A global minimizer of `name` in `dim` dimensions (value exactly 0).
 
@@ -140,25 +127,26 @@ _FD_OFFSETS = np.array([3.0, 2.0, 1.0, -1.0, -2.0, -3.0])
 _FD_WEIGHTS = np.array([1.0, -9.0, 45.0, -45.0, 9.0, -1.0]) / 60.0
 
 
-def fd_gradient(name: str, x) -> np.ndarray:
-    """Central-difference gradient oracle, independent of the analytic code.
+def fd_gradient(name: str, X: np.ndarray) -> np.ndarray:
+    """Central-difference gradients at the rows of `X`, shape (m, dim) ->
+    (m, dim), independent of the analytic code.
 
-    Uses one batched evaluation of the stencil points ``x + k*h*e_i`` with
-    ``h = FD_STEP``.  The 6th-order stencil is needed at h = 1e-7: the sine
-    terms reach local frequencies near 2e6 per unit coordinate, so the
-    2nd-order formula carries relative truncation error up to ~1e-2 on
-    zhou2/zhou3, far above what the 6th-order formula leaves (~1e-7).
+    One `value_batch` call evaluates every row's stencil ``x + k*h*e_i``,
+    h = FD_STEP.  The 6th-order stencil is needed at h = 1e-7: the sine terms
+    reach local frequencies near 2e6 per unit coordinate, so the 2nd-order
+    formula carries relative truncation error up to ~1e-2 on zhou2/zhou3,
+    far above what the 6th-order formula leaves (~1e-7).
     """
-    x = as_point(x)
-    _check_dim(x.size)
-    dim = x.size
-    k = _FD_OFFSETS.size
-    rows = np.arange(k * dim)
-    cols = np.repeat(np.arange(dim), k)
-    X = np.repeat(x[None, :], k * dim, axis=0)
-    X[rows, cols] += np.tile(_FD_OFFSETS, dim) * FD_STEP
-    f = value_batch(name, X)
-    return (f.reshape(dim, k) @ _FD_WEIGHTS) / FD_STEP
+    _check_name(name)
+    X = _as_batch(X)
+    m, dim = X.shape
+    # Stencil row (p, i, j) is row p of X with _FD_OFFSETS[j] * h added to
+    # coordinate i alone; the other coordinates are copies, not sums.
+    stencil = np.repeat(X, dim * _FD_OFFSETS.size, axis=0).reshape(m, dim, -1, dim)
+    coords = np.arange(dim)
+    stencil[:, coords, :, coords] += _FD_OFFSETS * FD_STEP
+    f = value_batch(name, stencil.reshape(-1, dim))
+    return (f.reshape(m, dim, -1) @ _FD_WEIGHTS) / FD_STEP
 
 
 def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from typing import List, Optional, Sequence, Tuple
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import benchmarks, harness, nominal, verify
-from .core import derive_stream, euclidean_norm
+from .core import as_point, derive_stream, euclidean_norm
 from .harness import ExperimentConfig, format_float
 
 __all__ = ["main", "parse_config", "CONFIG_KEYS"]
@@ -94,13 +95,13 @@ CONFIG_KEYS = tuple(_CONFIG_TABLE)
 def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into a {key: raw string} dict.
 
-    Blank lines and ``#`` comments are skipped and keys and values are
-    stripped; a line without ``=``, an unknown key or a key set twice raises
-    ValueError located as ``path:lineno``."""
+    Blank lines and comments (from a ``#`` that starts the line or follows
+    whitespace) are skipped and keys and values stripped; a line without
+    ``=``, an unknown key or a key set twice raises ValueError at path:lineno."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -202,6 +203,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse `argv` as `main` does: an `experiment` flag takes the next token
+    as its value even when it starts with "-", as in ``--bounds -10,10``."""
+    argv, i = list(argv), 1
+    flags = {row[3] for row in _CONFIG_TABLE.values() if row[1] is not _boolean}
+    while argv[:1] == ["experiment"] and i < len(argv) - 1:
+        if argv[i] in flags:
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
+    return _build_parser().parse_args(argv)
+
+
 def _cmd_nominal(args) -> int:
     try:
         stagnant = frozenset(int(i) for i in _parse_list(args.stagnant))
@@ -245,9 +258,10 @@ def _cmd_bench(args) -> int:
     else:
         point = benchmarks.optimum(name, 3 if args.dim is None else args.dim,
                                    args.optimum)
+    X = as_point(point)[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = benchmarks.value(name, point)
-        grad = benchmarks.gradient(name, point)
+        value = float(benchmarks.value_batch(name, X)[0])
+        grad = benchmarks.gradient_batch(name, X)[0]
     grad_norm = euclidean_norm(grad)
     if not (np.isfinite(value) and np.isfinite(grad_norm)):
         raise ValueError(
@@ -297,8 +311,7 @@ def _cmd_verify(_args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     handler = {
         "nominal": _cmd_nominal,
         "bench": _cmd_bench,

@@ -100,15 +100,13 @@ def check_remark2() -> Verdict:
 
 
 def check_optima() -> Verdict:
-    worst_val = 0.0
-    worst_grad = 0.0
+    values, norms = [], []
     for name in benchmarks.FUNCTIONS:
         for dim in (2, 3, 4, 5):
-            for point in benchmarks.optima(name, dim):
-                worst_val = max(worst_val, abs(benchmarks.value(name, point)))
-                worst_grad = max(
-                    worst_grad, euclidean_norm(benchmarks.gradient(name, point))
-                )
+            X = np.array(benchmarks.optima(name, dim))
+            values.extend(np.abs(benchmarks.value_batch(name, X)).tolist())
+            norms.extend(map(euclidean_norm, benchmarks.gradient_batch(name, X)))
+    worst_val, worst_grad = max(values), max(norms)
     return (
         "optimum_certificates",
         worst_val <= OPT_VALUE_TOL and worst_grad <= OPT_GRAD_TOL,
@@ -123,11 +121,11 @@ def check_gradient_oracle() -> Verdict:
     gen = derive_stream(42, ["fd-check"])
     worst = 0.0
     for name in benchmarks.FUNCTIONS:
-        for x in gen.uniform(-2.0, 2.0, size=(points, 3)):
-            analytic = benchmarks.gradient(name, x)
-            fd = benchmarks.fd_gradient(name, x)
-            tol = np.where(np.abs(fd) > 1.0, FD_REL_TOL * np.abs(fd), FD_ABS_TOL)
-            worst = max(worst, float(np.max(np.abs(analytic - fd) / tol)))
+        X = gen.uniform(-2.0, 2.0, size=(points, 3))
+        analytic = benchmarks.gradient_batch(name, X)
+        fd = benchmarks.fd_gradient(name, X)
+        tol = np.where(np.abs(fd) > 1.0, FD_REL_TOL * np.abs(fd), FD_ABS_TOL)
+        worst = max(worst, float(np.max(np.abs(analytic - fd) / tol)))
     return (
         "gradient_oracle",
         worst <= 1.0,

@@ -16,7 +16,7 @@ class TestOptima:
         # The dim-3 minimizer is exactly (1, 2, 8).
         opt = benchmarks.optimum("zhou1", 3)
         assert np.array_equal(opt, [1.0, 2.0, 8.0])
-        assert benchmarks.value("zhou1", opt) == 0.0
+        assert benchmarks.value_batch("zhou1", opt[None, :])[0] == 0.0
 
     def test_zhou1_recursion(self):
         opt = benchmarks.optimum("zhou1", 5)
@@ -44,8 +44,8 @@ class TestOptima:
     def test_branch_optima_near_zero(self, name, branch, dim):
         opt = benchmarks.optimum(name, dim, branch)
         assert opt[0] == -1.0
-        assert abs(benchmarks.value(name, opt)) <= 1e-8
-        assert np.linalg.norm(benchmarks.gradient(name, opt)) <= 1e-4
+        assert abs(benchmarks.value_batch(name, opt[None, :])[0]) <= 1e-8
+        assert np.linalg.norm(benchmarks.gradient_batch(name, opt[None, :])) <= 1e-4
 
     def test_branches_differ_only_in_last_coordinate(self):
         minus = benchmarks.optimum("zhou2", 4, "minus")
@@ -79,14 +79,15 @@ class TestOptima:
 class TestEvaluators:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
-            benchmarks.value("zhou9", np.zeros(3))
+            benchmarks.value_batch("zhou9", np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("fn", (benchmarks.value, benchmarks.gradient))
+    @pytest.mark.parametrize("fn", ("value", "gradient"))
     def test_name_checked_before_dimension(self, fn):
+        call = getattr(benchmarks, f"{fn}_batch")
         with pytest.raises(ValueError, match="unknown benchmark function"):
-            fn("zhou9", [1.0])
+            call("zhou9", [[1.0]])
         with pytest.raises(ValueError, match="dim >= 2"):
-            fn("zhou1", [1.0])
+            call("zhou1", [[1.0]])
 
     @pytest.mark.parametrize("method", ("value_batch", "gradient_batch"))
     def test_batches_validated(self, method):
@@ -97,14 +98,16 @@ class TestEvaluators:
             call("zhou1", np.zeros(3))
 
     def test_batch_matches_scalar(self):
+        # Each row of a batch gets the bits a one-row batch of it gets.
         gen = np.random.Generator(np.random.PCG64(0))
         X = gen.uniform(-2.0, 2.0, size=(16, 3))
         for name in benchmarks.FUNCTIONS:
             vals = benchmarks.value_batch(name, X)
             grads = benchmarks.gradient_batch(name, X)
-            for i, x in enumerate(X):
-                assert vals[i] == benchmarks.value(name, x)
-                assert np.array_equal(grads[i], benchmarks.gradient(name, x))
+            for i in range(len(X)):
+                assert vals[i] == benchmarks.value_batch(name, X[i:i + 1])[0]
+                assert np.array_equal(
+                    grads[i], benchmarks.gradient_batch(name, X[i:i + 1])[0])
 
     def test_values_nonnegative(self):
         gen = np.random.Generator(np.random.PCG64(1))
@@ -114,7 +117,7 @@ class TestEvaluators:
 
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
-            benchmarks.value("zhou1", np.array([np.nan, 1.0, 1.0]))
+            benchmarks.value_batch("zhou1", np.array([[np.nan, 1.0, 1.0]]))
 
 
 class TestFdGradient:
@@ -126,8 +129,39 @@ class TestFdGradient:
         # gradient norms on these functions are 1e6 and up.
         for name in benchmarks.FUNCTIONS:
             opt = benchmarks.optimum(name, 3)
-            fd = benchmarks.fd_gradient(name, opt)
+            fd = benchmarks.fd_gradient(name, opt[None, :])
+            assert fd.shape == (1, 3)
             assert np.linalg.norm(fd) <= 0.1
+
+    @pytest.mark.parametrize("dim", (2, 3, 10))
+    def test_batch_rows_equal_one_row_calls(self, dim):
+        # One value_batch call for all stencils gives each row the bits of
+        # its own one-row call.
+        X = np.random.Generator(np.random.PCG64(dim)).uniform(-2.0, 2.0, (20, dim))
+        for name in benchmarks.FUNCTIONS:
+            fd = benchmarks.fd_gradient(name, X)
+            assert fd.shape == X.shape
+            for i in range(len(X)):
+                row = benchmarks.fd_gradient(name, X[i:i + 1])
+                assert np.array_equal(fd[i], row[0])
+
+    def test_one_stencil_evaluation_per_call(self, monkeypatch):
+        shapes = []
+        evaluate = benchmarks.value_batch
+
+        def recording(name, X):
+            shapes.append(X.shape)
+            return evaluate(name, X)
+
+        monkeypatch.setattr(benchmarks, "value_batch", recording)
+        benchmarks.fd_gradient("zhou2", np.ones((4, 3)))
+        assert shapes == [(4 * 3 * 6, 3)]
+
+    def test_name_checked_before_the_batch(self):
+        with pytest.raises(ValueError, match="unknown benchmark function"):
+            benchmarks.fd_gradient("zhou9", np.zeros(3))
+        with pytest.raises(ValueError, match="2-D batch"):
+            benchmarks.fd_gradient("zhou1", np.zeros(3))
 
 
 class TestObjectiveFactory:
@@ -139,11 +173,10 @@ class TestObjectiveFactory:
     @pytest.mark.parametrize("name", benchmarks.FUNCTIONS)
     def test_objective_wires_kernels(self, name):
         obj = benchmarks.objective(name, 3)
-        x = np.array([0.5, -0.5, 1.5])
-        assert obj.value_batch(x[None, :])[0] == benchmarks.value(name, x)
-        assert np.array_equal(obj.grad(x), benchmarks.gradient(name, x))
         X = np.array([[0.5, -0.5, 1.5], [1.0, 1.0, 1.0]])
         assert np.array_equal(obj.value_batch(X), benchmarks.value_batch(name, X))
+        for x, g in zip(X, benchmarks.gradient_batch(name, X)):
+            assert np.array_equal(obj.grad(x), g)
 
     def test_custom_bounds_respected(self):
         bounds = Bounds(-5.0, 5.0, 3)

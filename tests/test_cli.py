@@ -16,9 +16,10 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from stagbench import harness, verify
-from stagbench.cli import (CONFIG_KEYS, _build_parser, main, parse_config,
+from stagbench import benchmarks, harness, verify
+from stagbench.cli import (CONFIG_KEYS, _parse_args, main, parse_config,
                            read_config_file)
+from stagbench.core import derive_stream
 from stagbench.harness import ExperimentConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -32,7 +33,7 @@ ONE_RUN = ["--functions", "zhou1", "--algorithms", "gwo", "--T", "5", "--runs", 
 
 def _from_flags(*argv: str):
     """`experiment`'s flags `argv` parsed as the command parses them."""
-    args = _build_parser().parse_args(["experiment", *argv])
+    args = _parse_args(["experiment", *argv])
     return parse_config(args.config, {key: getattr(args, key) for key in CONFIG_KEYS})
 
 
@@ -196,6 +197,14 @@ class TestOneParsePath:
         assert _from_flags(*argv) == parse_config(str(cfg_file))
         assert _from_flags(*argv) != parse_config()
 
+    def test_value_that_starts_with_a_dash_parses_alike(self, tmp_path):
+        cfg_file = tmp_path / "box.cfg"
+        cfg_file.write_text("bounds = -10, 10\n")
+        expected = _expected(bounds_lo=-10.0, bounds_hi=10.0)
+        assert _from_flags("--bounds", "-10,10") == expected
+        assert _from_flags("--bounds=-10,10") == expected
+        assert parse_config(str(cfg_file)) == expected
+
     def test_no_curves_flag_is_curves_false(self, tmp_path):
         cfg_file = tmp_path / "good.cfg"
         cfg_file.write_text("curves = false\n")
@@ -230,6 +239,21 @@ class TestExperimentFlags:
     def test_flag_parses_to_its_value(self, argv, expected):
         assert _from_flags(*argv) == expected
 
+    @pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k != "curves"])
+    def test_flag_takes_the_next_token_even_with_a_dash(self, key):
+        flag = VALID[key][0][0].split("=")[0]
+        assert getattr(_parse_args(["experiment", flag, "-x"]), key) == "-x"
+
+    def test_flag_without_a_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(["experiment", "--runs", "2", "--bounds"])
+        assert exc.value.code == 2
+        assert "argument --bounds: expected one argument" in capsys.readouterr().err
+
+    def test_negative_horizon_reaches_the_config_check(self, capsys):
+        assert main(["experiment", "--T", "-5,100"]) == 2
+        assert capsys.readouterr().err == "error: every T must be >= 1\n"
+
     def test_config_flag_reads_the_file_under_the_flags(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("runs = 6\ndim = 5\n")
@@ -245,6 +269,17 @@ class TestReadConfigFile:
         )
         assert read_config_file(str(path)) == {
             "runs": "1", "dim": "4", "output_dir": "",
+        }
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # A comment starts at a "#" that opens the line or follows
+        # whitespace; any other "#" belongs to the value.
+        path = tmp_path / "x.cfg"
+        path.write_text(
+            "output_dir = /tmp/a#b\nworkers = 0   # auto\n#dim = 4\nruns = 2\t#x\n"
+        )
+        assert read_config_file(str(path)) == {
+            "output_dir": "/tmp/a#b", "workers": "0", "runs": "2",
         }
 
     def test_line_without_equals_is_located(self, tmp_path):
@@ -557,6 +592,34 @@ class TestVerifyCommand:
 
     def test_every_verdict_is_a_bool(self):
         assert [type(ok) for _, ok, _ in verify.run_checks()] == [bool] * 5
+
+    def test_benchmark_checks_evaluate_stacked_batches(self, monkeypatch):
+        calls = []
+        for fn in ("value_batch", "gradient_batch", "fd_gradient"):
+            def recording(name, X, _fn=fn, _inner=getattr(benchmarks, fn)):
+                calls.append((_fn, name, np.array(X)))
+                return _inner(name, X)
+
+            monkeypatch.setattr(benchmarks, fn, recording)
+        assert verify.check_optima()[1] is True
+        # One value and one gradient call per (function, dim) on its optima.
+        assert [(fn, name, X.tolist()) for fn, name, X in calls] == [
+            (fn, name, np.array(benchmarks.optima(name, dim)).tolist())
+            for name in benchmarks.FUNCTIONS for dim in (2, 3, 4, 5)
+            for fn in ("value_batch", "gradient_batch")]
+        calls.clear()
+        assert verify.check_gradient_oracle()[1] is True
+        # One gradient and one fd call per function on the same (100, 3)
+        # draw, drawn in function order; the fd call's own stencil
+        # evaluation is the value_batch call after it.
+        assert [(fn, name) for fn, name, _ in calls] == [
+            (fn, name) for name in benchmarks.FUNCTIONS
+            for fn in ("gradient_batch", "fd_gradient", "value_batch")]
+        gen = derive_stream(42, ["fd-check"])
+        for i in range(len(benchmarks.FUNCTIONS)):
+            draw = gen.uniform(-2.0, 2.0, size=(100, 3))
+            assert np.array_equal(calls[3 * i][2], draw)
+            assert np.array_equal(calls[3 * i + 1][2], draw)
 
     def test_theorem1_rejects_a_separation_that_reopens(self, monkeypatch):
         # alpha 0.5 collapses the pair in one step (ratio 0 = |1 - 2a|), so

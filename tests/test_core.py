@@ -110,6 +110,10 @@ class TestBounds:
 
 
 class TestRngStreams:
+    """The numpy Generators `derive_stream` returns, one per label path.  The
+    class keeps the name it had under the old stream type, so its test ids
+    stay the same."""
+
     def test_same_labels_same_draws(self):
         a = derive_stream(42, ["zhou1", "gwo", 100, 0]).random(5)
         b = derive_stream(42, ["zhou1", "gwo", 100, 0]).random(5)

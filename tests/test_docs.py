@@ -1,12 +1,15 @@
 """README names the config keys and the CSV columns that the code defines,
-in the code's order."""
+in the code's order, and its `stagbench` commands parse."""
 
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
-from stagbench.cli import CONFIG_KEYS
+import pytest
+
+from stagbench.cli import CONFIG_KEYS, _parse_args
 from stagbench.harness import RECORDS_COLUMNS, SUMMARY_COLUMNS
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
@@ -26,3 +29,20 @@ def test_readme_column_lists_match_the_column_tables():
     for name, columns in (("records", RECORDS_COLUMNS), ("summary", SUMMARY_COLUMNS)):
         listed = re.search(rf"`{name}\.csv` has one row per [^(]*\(`([^`]*)`\)", README)
         assert listed.group(1) == ",".join(header for header, _ in columns)
+
+
+def test_readme_commands_parse(capsys):
+    lines = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+        for line in block.splitlines()
+    ]
+    commands = [words[words.index("stagbench") + 1:]
+                for words in lines if "stagbench" in words]
+    assert commands
+    for argv in commands:
+        try:
+            assert _parse_args(argv).command == argv[0]
+        except SystemExit:
+            pytest.fail(f"README command `stagbench {shlex.join(argv)}` does not "
+                        f"parse: {capsys.readouterr().err}")
