@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import AlgoState, evaluate
+from . import AlgoState, evaluate, schedule_fraction
 
 POP_INIT_FACTOR = 18
 POP_MIN = 4
@@ -130,7 +130,7 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
         X = np.where(win[:, None], trial, X)
         vals = np.where(win, tvals, vals)
 
-    frac = min(1.0, (state.generation + 1) / state.schedule_horizon)
+    frac = schedule_fraction(state.generation + 1, state.schedule_horizon)
     n_next = _round_half_up(mem["pop_init"] + (POP_MIN - mem["pop_init"]) * frac)
     n_next = max(POP_MIN, min(n, n_next))
     if n_next < n:

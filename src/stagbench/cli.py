@@ -204,32 +204,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse `argv` as `main` does: an `experiment` flag takes the next token
-    as its value even when it starts with "-", as in ``--bounds -10,10``."""
-    argv, i = list(argv), 1
-    flags = {row[3] for row in _CONFIG_TABLE.values() if row[1] is not _boolean}
-    while argv[:1] == ["experiment"] and i < len(argv) - 1:
+    """Parse `argv` as `main` does: a flag that takes one value takes the next
+    token as its value even when it starts with "-", as in ``--bounds -10,10``
+    or ``--point -1,2,3``."""
+    parser, argv, i = _build_parser(), list(argv), 1
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    command = commands.get(argv[0]) if argv else None
+    flags = {flag for action in (command._actions if command else ())
+             if action.nargs is None for flag in action.option_strings}
+    while i < len(argv) - 1:
         if argv[i] in flags:
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
         i += 1
-    return _build_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _cmd_nominal(args) -> int:
     try:
-        stagnant = frozenset(int(i) for i in _parse_list(args.stagnant))
+        stagnant = [int(i) for i in _parse_list(args.stagnant)]
     except ValueError:
         raise ValueError(
             f"--stagnant must be comma-separated integers, got {args.stagnant!r}"
         )
-    cfg = nominal.NominalConfig(
-        alpha=args.alpha, pairing=args.pairing, stagnant_set=stagnant
-    )
     init = derive_stream(args.seed, ["nominal"]).uniform(
         -100.0, 100.0, size=(args.n, args.dim)
     )
     gen = derive_stream(args.seed, ["nominal", "simulate"])
-    _, errors = nominal.simulate(cfg, init, args.steps, gen)
+    _, errors = nominal.simulate(args.alpha, init, args.steps, gen,
+                                 pairing=args.pairing, stagnant_set=stagnant)
     predicted = nominal.predicted_factor(args.alpha, stagnant=bool(stagnant))
     out = sys.stdout
     out.write("step,diameter,predicted_factor,measured_factor\n")

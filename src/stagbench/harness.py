@@ -382,12 +382,18 @@ def summarize(
     ):
         recs = cells[(function, T, algorithm)]
         grads = np.array([r.grad_norm for r in recs])
+        # The sum can overflow for finite norms; only then, as
+        # `euclidean_norm` does, the mean is taken again over scaled terms.
+        with np.errstate(over="ignore"):
+            mean_grad_norm = float(grads.mean())
+            if np.isinf(mean_grad_norm) and np.isfinite(grads).all():
+                mean_grad_norm = float(np.add.reduce(grads / grads.size))
         rows.append(
             SummaryRow(
                 function=function,
                 T=T,
                 algorithm=algorithm,
-                mean_grad_norm=float(grads.mean()),
+                mean_grad_norm=mean_grad_norm,
                 stationary_fraction=float(
                     np.mean(grads <= cfg.stationarity_threshold)
                 ),

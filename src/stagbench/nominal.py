@@ -4,7 +4,7 @@ The update rule moves an individual a fraction ``alpha`` of the way toward a
 partner: ``x_i' = x_i + alpha * (x_j - x_i)``.  When both partners move
 (``pair_step``) the pair's separation scales by exactly ``1 - 2*alpha`` each
 step, so the pair contracts iff ``0 < alpha < 1``.  When the partner is
-frozen (listed in ``NominalConfig.stagnant_set``) only the other individual
+frozen (listed in `simulate`'s ``stagnant_set``) only the other individual
 takes its half of ``pair_step``; the separation then scales by
 ``1 - alpha`` and the stability region widens to ``0 < alpha < 2`` — a
 stagnant partner *helps* convergence for ``alpha`` in ``(1, 2)``.
@@ -22,8 +22,7 @@ theory value to compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +30,6 @@ from .core import as_integer, as_real
 
 __all__ = [
     "PAIRINGS",
-    "NominalConfig",
-    "InsufficientDataError",
     "pair_step",
     "simulate",
     "diameter",
@@ -45,37 +42,6 @@ PAIRINGS = ("mutual_random", "ring")
 # Diameter entries below this are treated as exact zeros by
 # measured_contraction; dividing by them would underflow to garbage.
 _TINY = 1e-300
-
-
-class InsufficientDataError(ValueError):
-    """Raised when an error sequence has too few usable entries."""
-
-
-@dataclass(frozen=True)
-class NominalConfig:
-    """Configuration of a nominal-dynamics run; the initial population
-    handed to `simulate` fixes N and the dimension.
-
-    `stagnant_set` lists individuals whose state is frozen for the whole
-    run; it must leave at least one individual mobile.
-    """
-
-    alpha: float
-    pairing: str = "mutual_random"
-    stagnant_set: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_real("alpha", self.alpha))
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if self.pairing not in PAIRINGS:
-            raise ValueError(
-                f"unknown pairing {self.pairing!r}; expected one of {PAIRINGS}"
-            )
-        stagnant = frozenset(
-            as_integer("every stagnant_set entry", i) for i in self.stagnant_set
-        )
-        object.__setattr__(self, "stagnant_set", stagnant)
 
 
 def pair_step(xi, xj, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,13 +72,22 @@ def diameter(positions: np.ndarray) -> float:
 
 
 def simulate(
-    cfg: NominalConfig,
+    alpha: float,
     init: Sequence,
     steps: int,
     gen: np.random.Generator,
+    *,
+    pairing: str = "mutual_random",
+    stagnant_set: Iterable[int] = (),
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Run `steps` updates of the nominal dynamics from `init`, an (N, dim)
-    population, drawing the random pairings from `gen`.
+    """Run `steps` updates of the nominal dynamics with step parameter
+    `alpha` from `init`, an (N, dim) population, drawing the random
+    pairings from `gen`.
+
+    `pairing` is one of `PAIRINGS`.  `stagnant_set` lists the indices of
+    individuals frozen for the whole run; it must leave at least one
+    individual mobile.  Every input is checked here; a bad one raises
+    ValueError.
 
     Returns the trajectory, a read-only ``(steps + 1, N, dim)`` array
     indexed by step counter, and the diameter sequence aligned with it.
@@ -125,6 +100,12 @@ def simulate(
     divergent run raises ValueError at the first step whose diameter is
     not a finite float64.
     """
+    alpha = as_real("alpha", alpha)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if pairing not in PAIRINGS:
+        raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
+    stagnant = {as_integer("every stagnant_set entry", i) for i in stagnant_set}
     steps = as_integer("steps", steps)
     X = np.array(init, dtype=np.float64)
     if X.ndim != 2:
@@ -134,22 +115,21 @@ def simulate(
         raise ValueError("need at least 2 individuals")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if not all(0 <= i < n for i in cfg.stagnant_set):
+    if not all(0 <= i < n for i in stagnant):
         raise ValueError(f"stagnant_set indices must lie in [0, {n})")
-    if len(cfg.stagnant_set) >= n:
+    if len(stagnant) >= n:
         raise ValueError("at least one individual must be mobile")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if not np.all(np.isfinite(X)):
         raise ValueError("point coordinates must be finite")
-    alpha = cfg.alpha
-    frozen = np.isin(np.arange(n), list(cfg.stagnant_set))
+    frozen = np.isin(np.arange(n), list(stagnant))
     trajectory = np.empty((steps + 1,) + X.shape, dtype=np.float64)
     trajectory[0] = X
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             X, new = trajectory[k - 1], trajectory[k]
-            if cfg.pairing == "mutual_random":
+            if pairing == "mutual_random":
                 order = gen.permutation(n)
                 a, b = order[0:n - 1:2], order[1::2]
                 new[:] = X
@@ -173,7 +153,7 @@ def measured_contraction(errors) -> float:
     Ratios are taken over consecutive pairs of entries that both exceed
     1e-300 (smaller values would underflow the division).  Fewer than two
     such ratios — i.e. fewer than 3 usable consecutive entries — raise
-    InsufficientDataError.
+    ValueError.
     """
     e = np.asarray(errors, dtype=np.float64)
     if e.ndim != 1:
@@ -183,7 +163,7 @@ def measured_contraction(errors) -> float:
     usable = e > _TINY
     both = usable[:-1] & usable[1:]
     if int(both.sum()) < 2:
-        raise InsufficientDataError(
+        raise ValueError(
             "need at least 3 usable consecutive entries to measure contraction"
         )
     ratios = e[1:][both] / e[:-1][both]

@@ -42,21 +42,17 @@ def _sci(x: float) -> str:
     return np.format_float_scientific(x, trim="-", exp_digits=1)
 
 
-def _mutual_errors(alpha: float) -> np.ndarray:
-    cfg = nominal.NominalConfig(alpha=alpha)
-    # centroid at the origin keeps the per-step rounding error relative to
-    # the shrinking separation, not to the (fixed) centroid magnitude
-    _, errors = nominal.simulate(
-        cfg, [[-5.0], [5.0]], STEPS, derive_stream(0, ["mutual", str(alpha)])
-    )
-    return errors
+# Two-individual runs: stream label -> (initial population, stagnant_set).
+# The mutual pair's centroid at the origin keeps the per-step rounding error
+# relative to the shrinking separation, not to the (fixed) centroid magnitude.
+_TWO_BODY = {"mutual": ([[-5.0], [5.0]], ()), "stagnant": ([[10.0], [0.0]], {1})}
 
 
-def _stagnant_errors(alpha: float) -> np.ndarray:
-    cfg = nominal.NominalConfig(alpha=alpha, stagnant_set=frozenset({1}))
-    _, errors = nominal.simulate(
-        cfg, [[10.0], [0.0]], STEPS, derive_stream(0, ["stagnant", str(alpha)])
-    )
+def _errors(label: str, alpha: float) -> np.ndarray:
+    init, stagnant = _TWO_BODY[label]
+    _, errors = nominal.simulate(alpha, init, STEPS,
+                                 derive_stream(0, [label, str(alpha)]),
+                                 stagnant_set=stagnant)
     return errors
 
 
@@ -65,7 +61,7 @@ def check_theorem1() -> Verdict:
     worst = 0.0
     zeros_stay = True
     for alpha in THEOREM1_ALPHAS:
-        errors = _mutual_errors(alpha)
+        errors = _errors("mutual", alpha)
         before, after = errors[:-1], errors[1:]
         moving = before > 0.0
         zeros_stay = zeros_stay and not after[~moving].any()
@@ -83,8 +79,8 @@ def check_remark2() -> Verdict:
     worst = 0.0
     ordered = True
     for alpha in REMARK2_ALPHAS:
-        stag = nominal.measured_contraction(_stagnant_errors(alpha))
-        mut = nominal.measured_contraction(_mutual_errors(alpha))
+        stag = nominal.measured_contraction(_errors("stagnant", alpha))
+        mut = nominal.measured_contraction(_errors("mutual", alpha))
         worst = max(
             worst,
             abs(stag - nominal.predicted_factor(alpha, stagnant=True)),
@@ -138,8 +134,7 @@ def check_ring() -> Verdict:
     # Ring pairing draws nothing, so `simulate` takes the stream `init` used.
     gen = derive_stream(0, ["ring-consensus"])
     init = gen.uniform(-100.0, 100.0, size=(8, 3))
-    cfg = nominal.NominalConfig(alpha=0.5, pairing="ring")
-    _, errors = nominal.simulate(cfg, init, 500, gen)
+    _, errors = nominal.simulate(0.5, init, 500, gen, pairing="ring")
     return (
         "ring_consensus",
         bool(errors[-1] <= 1e-6),

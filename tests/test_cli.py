@@ -355,6 +355,13 @@ class TestNominalCommand:
             "4a07df4ab46470c88678383e31abe75bf94c1b707aa7567f7f1b9f68bd6295b4"
         )
 
+    @pytest.mark.parametrize("argv", (["--stagnant", "-1,0"], ["--stagnant=-1,0"]))
+    def test_negative_stagnant_index_reaches_the_range_check(self, capsys, argv):
+        assert main(["nominal", "--alpha", "0.5", "--n", "3", *argv]) == 2
+        assert capsys.readouterr().err == (
+            "error: stagnant_set indices must lie in [0, 3)\n"
+        )
+
     def test_bad_stagnant_exits_2_and_names_flag(self, capsys):
         assert main(["nominal", "--alpha", "0.5", "--stagnant", "a"]) == 2
         assert capsys.readouterr().err == (
@@ -449,6 +456,17 @@ class TestBenchCommand:
         grad = np.array([float(g) for g in lines["gradient"].split(",")])
         assert np.isfinite(grad).all()
         assert float(lines["grad_norm"]) == 4.660862075616236e157
+
+    def test_point_with_a_negative_first_coordinate_takes_the_space_form(self, capsys):
+        point = "-23.586112946289894,6.892615318949088,-5.131355323514834"
+        assert main(["bench", "zhou3", f"--point={point}"]) == 0
+        expected = capsys.readouterr()
+        assert main(["bench", "zhou3", "--point", point]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_optimum_without_a_branch_leaves_the_next_flag_alone(self):
+        args = _parse_args(["bench", "zhou2", "--optimum", "--dim", "4"])
+        assert (args.optimum, args.dim, args.point) == ("minus", 4, None)
 
 
 class TestRunAndExperimentCommands:
@@ -624,12 +642,13 @@ class TestVerifyCommand:
     def test_theorem1_rejects_a_separation_that_reopens(self, monkeypatch):
         # alpha 0.5 collapses the pair in one step (ratio 0 = |1 - 2a|), so
         # only the rule that a zero separation stays zero can fail here.
-        def errors(alpha):
+        def errors(label, alpha):
+            assert label == "mutual"
             if alpha == 0.5:
                 return np.array([10.0, 0.0, 1e-300])
             return 10.0 * abs(1.0 - 2.0 * alpha) ** np.arange(3.0)
 
-        monkeypatch.setattr(verify, "_mutual_errors", errors)
+        monkeypatch.setattr(verify, "_errors", errors)
         _, ok, detail = verify.check_theorem1()
         assert ok is False
         worst = float(detail.split(" = ")[1].split()[0])

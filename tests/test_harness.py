@@ -21,6 +21,7 @@ from stagbench.harness import (
     TERMINATION_STAGNATION,
     Curve,
     ExperimentConfig,
+    RunRecord,
     curve_filename,
     format_float,
     render_summary_table,
@@ -538,6 +539,19 @@ class TestRunExperiment:
         assert row.stationary_fraction == np.mean(
             [r.grad_norm <= cfg.stationarity_threshold for r in cell]
         )
+
+    def test_mean_of_huge_finite_norms_does_not_overflow(self):
+        # The plain sum of two 1e308 norms overflows float64, their mean does not.
+        cfg = _small_cfg(functions=("zhou1",), algorithms=("gwo",))
+        records = [
+            RunRecord("zhou1", "gwo", 50, i, np.zeros(3), 0.0, norm, 10, 100,
+                      TERMINATION_STAGNATION)
+            for i, norm in enumerate((1e308, 1e308, np.inf))
+        ]
+        (row,) = harness.summarize(records[:2], cfg)
+        assert row.mean_grad_norm == 1e308
+        (row,) = harness.summarize(records, cfg)
+        assert row.mean_grad_norm == np.inf
 
 
 class TestFormatting:

@@ -10,8 +10,6 @@ import pytest
 from stagbench.core import derive_stream
 from stagbench.nominal import (
     PAIRINGS,
-    InsufficientDataError,
-    NominalConfig,
     diameter,
     measured_contraction,
     pair_step,
@@ -21,36 +19,33 @@ from stagbench.nominal import (
 
 
 def _simulate(alpha, init, steps, *, pairing="mutual_random", stagnant=(), seed=0):
-    cfg = NominalConfig(
-        alpha=alpha, pairing=pairing, stagnant_set=frozenset(stagnant)
-    )
-    return simulate(cfg, init, steps, derive_stream(seed, ["nominal-test"]))
+    return simulate(alpha, init, steps, derive_stream(seed, ["nominal-test"]),
+                    pairing=pairing, stagnant_set=stagnant)
 
 
-def _reference_simulate(cfg, init, steps, gen):
+def _reference_simulate(alpha, pairing, stagnant, init, steps, gen):
     """The per-pair loop that `simulate` replaced, kept as its reference:
     one Python update per pair, and a stagnant partner handled by its own
     branch."""
     X = np.array(init, dtype=np.float64)
-    stagnant = cfg.stagnant_set
     trajectory = [X]
     for _ in range(steps):
         new = X.copy()
-        if cfg.pairing == "mutual_random":
+        if pairing == "mutual_random":
             order = gen.permutation(X.shape[0])
             for a, b in zip(order[0::2], order[1::2]):
                 a, b = int(a), int(b)
                 if a in stagnant and b in stagnant:
                     continue
                 if a in stagnant:
-                    new[b] = X[b] + cfg.alpha * (X[a] - X[b])
+                    new[b] = X[b] + alpha * (X[a] - X[b])
                 elif b in stagnant:
-                    new[a] = X[a] + cfg.alpha * (X[b] - X[a])
+                    new[a] = X[a] + alpha * (X[b] - X[a])
                 else:
-                    delta = cfg.alpha * (X[b] - X[a])
+                    delta = alpha * (X[b] - X[a])
                     new[a], new[b] = X[a] + delta, X[b] - delta
         else:
-            new = X + cfg.alpha * (np.roll(X, -1, axis=0) - X)
+            new = X + alpha * (np.roll(X, -1, axis=0) - X)
             for i in stagnant:
                 new[i] = X[i]
         X = new
@@ -209,21 +204,19 @@ class TestArrayDynamics:
             n = int(gen.integers(2, 9))
             size = int(gen.integers(0, n))
             dim = int(gen.integers(1, 4))
-            cfg = NominalConfig(
-                alpha=float(alphas[i % len(alphas)]),
-                pairing=PAIRINGS[(i // len(alphas)) % 2],
-                stagnant_set=frozenset(
-                    int(j) for j in gen.choice(n, size=size, replace=False)
-                ),
-            )
+            alpha = float(alphas[i % len(alphas)])
+            pairing = PAIRINGS[(i // len(alphas)) % 2]
+            stagnant = {int(j) for j in gen.choice(n, size=size, replace=False)}
             init = gen.uniform(-100.0, 100.0, size=(n, dim))
             steps = int(gen.integers(1, 60))
-            traj, errors = simulate(cfg, init, steps, derive_stream(i, ["ref"]))
+            traj, errors = simulate(alpha, init, steps, derive_stream(i, ["ref"]),
+                                    pairing=pairing, stagnant_set=stagnant)
             ref_traj, ref_errors = _reference_simulate(
-                cfg, init, steps, derive_stream(i, ["ref"])
+                alpha, pairing, stagnant, init, steps, derive_stream(i, ["ref"])
             )
-            assert np.array_equal(traj, ref_traj), cfg
-            assert np.array_equal(errors, ref_errors), cfg
+            case = (alpha, pairing, stagnant)
+            assert np.array_equal(traj, ref_traj), case
+            assert np.array_equal(errors, ref_errors), case
 
     def test_trajectory_is_one_read_only_array(self):
         traj, errors = _simulate(0.3, np.arange(15.0).reshape(5, 3), 12)
@@ -254,7 +247,7 @@ class TestMeasuredContraction:
         assert measured_contraction(errors) == pytest.approx(0.5, abs=1e-15)
 
     def test_too_few_usable_entries(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="at least 3 usable"):
             measured_contraction([1.0, 0.5, 0.0, 0.0])
 
     def test_negative_entries_rejected(self):
@@ -264,8 +257,8 @@ class TestMeasuredContraction:
 
 class TestConfigValidation:
     def test_unknown_pairing_rejected(self):
-        with pytest.raises(ValueError):
-            NominalConfig(alpha=0.5, pairing="star")
+        with pytest.raises(ValueError, match="^unknown pairing 'star'; expected one of "):
+            _simulate(0.5, [[0.0], [1.0]], 5, pairing="star")
 
     def test_stagnant_index_out_of_range_rejected(self):
         with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
@@ -292,20 +285,24 @@ class TestConfigValidation:
     )
     def test_alpha_must_be_a_finite_real(self, alpha, message):
         with pytest.raises(ValueError, match=message):
-            NominalConfig(alpha=alpha)
+            _simulate(alpha, [[0.0], [1.0]], 5)
 
     def test_alpha_becomes_a_float(self):
-        cfg = NominalConfig(alpha=np.float32(0.5))
-        assert type(cfg.alpha) is float and cfg.alpha == 0.5
-        assert type(NominalConfig(alpha=1).alpha) is float
+        init = [[-3.0, 1.0], [2.0, 5.0], [7.0, -4.0]]
+        for alpha, as_float in ((np.float32(0.5), 0.5), (1, 1.0)):
+            traj, errors = _simulate(alpha, init, 6, stagnant=(2,))
+            ref_traj, ref_errors = _simulate(as_float, init, 6, stagnant=(2,))
+            assert traj.tobytes() == ref_traj.tobytes()
+            assert errors.tobytes() == ref_errors.tobytes()
 
     def test_non_integer_stagnant_entry_rejected(self):
         # int() would truncate 1.7 to index 1.
         with pytest.raises(
             ValueError, match="^every stagnant_set entry must be an integer, got 1.7$"
         ):
-            NominalConfig(alpha=0.5, stagnant_set=frozenset({1.7}))
-        assert NominalConfig(alpha=0.5, stagnant_set={np.int64(1)}).stagnant_set == {1}
+            _simulate(0.5, [[0.0], [1.0]], 5, stagnant=(1.7,))
+        traj, _ = _simulate(0.5, [[0.0], [1.0]], 5, stagnant=(np.int64(1),))
+        assert np.all(traj[:, 1] == 1.0)
 
     def test_init_fixes_population_size_and_dim(self):
         with pytest.raises(ValueError, match="need at least 2 individuals"):
