@@ -38,7 +38,7 @@ import numpy as np
 
 from ..core import BestTracker, ObjectiveSpec, as_integer
 
-__all__ = ["ALGORITHMS", "AlgoState", "init", "step", "best"]
+__all__ = ["ALGORITHMS", "AlgoState", "check_name", "init", "step", "best"]
 
 ALGORITHMS = ("gl25", "clpso", "lshade", "gwo", "woa", "hho")
 
@@ -83,6 +83,14 @@ def schedule_fraction(generation: int, horizon: int) -> float:
     return min(1.0, max(0.0, generation / horizon))
 
 
+def check_name(algorithm: str) -> None:
+    """Raise ValueError unless `algorithm` is one of ALGORITHMS."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+
+
 def init(
     algorithm: str,
     objective: ObjectiveSpec,
@@ -92,10 +100,7 @@ def init(
     """Sample `algorithm`'s initial population uniformly in the box from
     `gen`, evaluate it and seed the tracker; the state keeps `gen` as its
     stream and denominates its schedules in `schedule_horizon` generations."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
+    check_name(algorithm)
     schedule_horizon = as_integer("schedule_horizon", schedule_horizon)
     if schedule_horizon < 1:
         raise ValueError("schedule_horizon must be >= 1")

@@ -21,8 +21,6 @@ of points: values and gradients dispatch to the kernels module, and
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .core import Bounds, ObjectiveSpec, as_integer
@@ -52,13 +50,10 @@ def _check_name(name: str) -> str:
     return name
 
 
-_DIM_MESSAGE = "benchmark functions need dim >= 2"
-
-
 def _check_dim(dim: int) -> int:
     dim = as_integer("dim", dim)
     if dim < 2:
-        raise ValueError(_DIM_MESSAGE)
+        raise ValueError("benchmark functions need dim >= 2")
     return dim
 
 
@@ -66,8 +61,7 @@ def _as_batch(X: np.ndarray) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
-    if X.shape[1] < 2:
-        raise ValueError(_DIM_MESSAGE)
+    _check_dim(X.shape[1])
     if not np.isfinite(X).all():
         raise ValueError("batch contains non-finite coordinates")
     return X
@@ -149,15 +143,11 @@ def fd_gradient(name: str, X: np.ndarray) -> np.ndarray:
     return (f.reshape(m, dim, -1) @ _FD_WEIGHTS) / FD_STEP
 
 
-def objective(name: str, dim: int, bounds: Optional[Bounds] = None) -> ObjectiveSpec:
-    """Package `name` as an ObjectiveSpec over `bounds` (default
-    [-100, 100]^dim)."""
+def objective(name: str, bounds: Bounds) -> ObjectiveSpec:
+    """Package `name` as an ObjectiveSpec over `bounds`, whose dimension
+    must be >= 2."""
     _check_name(name)
-    dim = _check_dim(dim)
-    if bounds is None:
-        bounds = Bounds(-100.0, 100.0, dim)
-    if bounds.dim != dim:
-        raise ValueError("bounds dimension does not match dim")
+    _check_dim(bounds.dim)
     return ObjectiveSpec(
         name=name,
         batch_evaluator=lambda X, _n=name: value_batch(_n, X),

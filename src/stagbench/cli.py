@@ -147,8 +147,10 @@ def parse_config(
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviated flags: `_parse_args` sees each flag under its one name.
     parser = argparse.ArgumentParser(
         prog="stagbench",
+        allow_abbrev=False,
         description=(
             "Stagnation-terminated benchmark harness: convergence is not "
             "optimality."
@@ -157,7 +159,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "nominal", help="simulate the nominal consensus dynamics (CSV on stdout)"
+        "nominal", help="simulate the nominal consensus dynamics (CSV on stdout)",
+        allow_abbrev=False,
     )
     p.add_argument("--alpha", type=float, required=True, help="step parameter")
     p.add_argument("--n", type=int, default=2, help="population size (default 2)")
@@ -176,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=30, help="steps to simulate")
     p.add_argument("--seed", type=int, default=42, help="base seed")
 
-    p = sub.add_parser("bench", help="evaluate a benchmark function at a point")
+    p = sub.add_parser("bench", help="evaluate a benchmark function at a point",
+                       allow_abbrev=False)
     p.add_argument("function", help="zhou1 | zhou2 | zhou3")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--point", help="comma-separated coordinates")
@@ -192,13 +196,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dimension for --optimum (default 3); with --point, its length",
     )
 
-    p = sub.add_parser("experiment", help="run the grid, write report files")
+    p = sub.add_parser("experiment", help="run the grid, write report files",
+                       allow_abbrev=False)
     p.add_argument("--config", help="key = value config file")
     for key, (_, parse, _, flag, help_text) in _CONFIG_TABLE.items():
         action = argparse.BooleanOptionalAction if parse is _boolean else None
         p.add_argument(flag, dest=key, action=action, help=help_text)
 
-    p = sub.add_parser("verify", help="run the exact-dynamics and gradient checks")
+    sub.add_parser("verify", help="run the exact-dynamics and gradient checks",
+                   allow_abbrev=False)
 
     return parser
 

@@ -11,12 +11,12 @@ count or execution order: records come back in grid order, each run seeds
 its own stream from its grid key, and no RNG state leaks across runs.
 
 With curve capture on, each record carries its best-so-far curve as a
-`Curve`: a read-only sequence of one ``(generation, best_value)`` pair per
-generation, stored as change points (the start point plus each generation
-whose best value differs from the one before).  It costs about 65 bytes of
-memory and 13 pickled bytes per improvement, whatever the number of
-generations, so pool results and the parent's memory grow with the number
-of improvements, not of generations.
+`Curve`, which iterates one ``(generation, best_value)`` pair per
+generation and is stored as change points (the start point plus each
+generation whose best value differs from the one before).  It costs about
+65 bytes of memory and 13 pickled bytes per improvement, whatever the
+number of generations, so pool results and the parent's memory grow with
+the number of improvements, not of generations.
 
 A grid runs on ``workers`` processes: 0 means one per usable CPU, and any
 count is capped at the usable CPUs and at the number of runs.  Only a grid
@@ -32,10 +32,7 @@ round-trips binary64 exactly.
 
 from __future__ import annotations
 
-import operator
 import os
-from bisect import bisect_right
-from collections import abc
 from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from itertools import product
@@ -108,14 +105,13 @@ class ExperimentConfig:
                 f"capture_curves must be a bool, got {self.capture_curves!r}"
             )
         object.__setattr__(self, "capture_curves", bool(self.capture_curves))
+        # Each run's box, objective and init own these rules; making the
+        # same calls here fails a bad grid before any run, in their words.
+        domain = self.domain()
         for f in self.functions:
-            if f not in FUNCTIONS:
-                raise ValueError(f"unknown function {f!r}; expected one of {FUNCTIONS}")
+            objective(f, domain)
         for a in self.algorithms:
-            if a not in algos.ALGORITHMS:
-                raise ValueError(
-                    f"unknown algorithm {a!r}; expected one of {algos.ALGORITHMS}"
-                )
+            algos.check_name(a)
         if not self.functions or not self.algorithms or not self.T_values:
             raise ValueError("functions, algorithms and T_values must be non-empty")
         for key, entries in (
@@ -128,9 +124,6 @@ class ExperimentConfig:
                 raise ValueError(f"{key} lists {repeated[0]!r} more than once")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        self.domain()  # validates the box before any run or pool starts
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
         for t in self.T_values:
@@ -148,7 +141,7 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class Curve(abc.Sequence):
+class Curve:
     """Best-so-far curve of one run, stored as change points.
 
     Reads as ``length`` pairs ``(generation, best_value)``, one per
@@ -156,7 +149,7 @@ class Curve(abc.Sequence):
     then, ascending, each generation whose best value differs from the one
     before; ``vals[i]`` is the best value from ``gens[i]`` up to the next
     change point.  The values are the tracker's own floats, so they keep
-    their bits.  Length is O(1) and indexing O(log changes).
+    their bits, and ``len`` is O(1).
     """
 
     gens: Tuple[int, ...]
@@ -174,15 +167,6 @@ class Curve(abc.Sequence):
 
     def __len__(self) -> int:
         return self.length
-
-    def __getitem__(self, i) -> Tuple[int, float]:
-        i = operator.index(i)
-        if i < 0:
-            i += self.length
-        if not 0 <= i < self.length:
-            raise IndexError("curve index out of range")
-        g = self.gens[0] + i
-        return g, self.vals[bisect_right(self.gens, g) - 1]
 
     def __iter__(self) -> Iterator[Tuple[int, float]]:
         for first, stop, value in self.segments():
@@ -278,7 +262,7 @@ def run_single(
     non-finite values they make are +inf sentinels by design."""
     T = as_integer("T", T)
     run_index = as_integer("run_index", run_index)
-    obj = objective(function, cfg.dim, cfg.domain())
+    obj = objective(function, cfg.domain())
     gen = derive_stream(cfg.base_seed, (function, algorithm, T, run_index))
     with np.errstate(over="ignore", invalid="ignore"):
         state = algos.init(algorithm, obj, gen, cfg.max_generations)

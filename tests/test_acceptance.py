@@ -29,7 +29,7 @@ from conftest import record_criterion, sphere_objective
 import stagbench.algorithms as algos
 from stagbench import benchmarks, verify
 from stagbench.benchmarks import objective, optimum
-from stagbench.core import derive_stream
+from stagbench.core import Bounds, derive_stream
 from stagbench.harness import (
     TERMINATION_STAGNATION,
     ExperimentConfig,
@@ -73,7 +73,7 @@ def test_criterion_3_monotone_best():
     for algorithm in algos.ALGORITHMS:
         for function in benchmarks.FUNCTIONS:
             for seed in range(5):
-                obj = objective(function, 3)
+                obj = objective(function, Bounds(-100.0, 100.0, 3))
                 state = algos.init(
                     algorithm,
                     obj,

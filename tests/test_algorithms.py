@@ -18,7 +18,7 @@ def _stream(algorithm, seed=42):
 
 
 def _fresh_state(algorithm, obj=None, seed=42, horizon=1000):
-    obj = obj or objective("zhou2", 3)
+    obj = obj or objective("zhou2", Bounds(-100.0, 100.0, 3))
     return algos.init(algorithm, obj, _stream(algorithm, seed), horizon)
 
 
@@ -61,7 +61,8 @@ class TestParamSet:
 
     def test_lshade_population_scales_with_dim(self):
         for dim, size in ((3, 54), (5, 90)):
-            state = _fresh_state("lshade", objective("zhou2", dim))
+            obj = objective("zhou2", Bounds(-100.0, 100.0, dim))
+            state = _fresh_state("lshade", obj)
             assert state.population.shape == (size, dim)
             assert state.memory["pop_init"] == size
 
@@ -234,7 +235,7 @@ class TestUniformInterface:
         assert not np.array_equal(a.population, b.population)
 
     def test_evaluation_count_is_exact(self, algorithm):
-        counting = CountingObjective(objective("zhou2", 3))
+        counting = CountingObjective(objective("zhou2", Bounds(-100.0, 100.0, 3)))
         state = algos.init(algorithm, counting.spec, _stream(algorithm), 500)
         for _ in range(12):
             state = algos.step(state)
@@ -262,7 +263,7 @@ class TestUniformInterface:
 
 class TestLshadeSpecifics:
     def test_population_shrinks_over_schedule(self):
-        obj = objective("zhou1", 3)
+        obj = objective("zhou1", Bounds(-100.0, 100.0, 3))
         state = algos.init("lshade", obj, _stream("lshade"), 100)
         n0 = state.population.shape[0]
         for _ in range(100):
@@ -272,7 +273,7 @@ class TestLshadeSpecifics:
         assert n_final < n0
 
     def test_archive_capacity_respected(self):
-        obj = objective("zhou2", 3)
+        obj = objective("zhou2", Bounds(-100.0, 100.0, 3))
         state = algos.init("lshade", obj, _stream("lshade", seed=4), 200)
         for _ in range(50):
             state = algos.step(state)
@@ -282,7 +283,7 @@ class TestLshadeSpecifics:
 
 class TestClpsoSpecifics:
     def test_velocity_capped(self):
-        obj = objective("zhou3", 3)
+        obj = objective("zhou3", Bounds(-100.0, 100.0, 3))
         state = algos.init("clpso", obj, _stream("clpso", seed=5), 500)
         vmax = clpso.VMAX_FRACTION * obj.domain.span
         for _ in range(40):
@@ -290,7 +291,7 @@ class TestClpsoSpecifics:
             assert np.all(np.abs(state.memory["velocity"]) <= vmax + 1e-12)
 
     def test_pbest_never_worse_than_current(self):
-        obj = objective("zhou2", 3)
+        obj = objective("zhou2", Bounds(-100.0, 100.0, 3))
         state = algos.init("clpso", obj, _stream("clpso", seed=6), 500)
         for _ in range(40):
             state = algos.step(state)

@@ -167,12 +167,13 @@ class TestFdGradient:
 class TestObjectiveFactory:
     @pytest.mark.parametrize("dim", (2.5, 3.0, True, "3"))
     def test_non_integer_dim_rejected(self, dim):
+        # The objective's dimension is its box's, so the box owns this rule.
         with pytest.raises(ValueError, match="^dim must be an integer"):
-            benchmarks.objective("zhou1", dim)
+            benchmarks.objective("zhou1", Bounds(-100.0, 100.0, dim))
 
     @pytest.mark.parametrize("name", benchmarks.FUNCTIONS)
     def test_objective_wires_kernels(self, name):
-        obj = benchmarks.objective(name, 3)
+        obj = benchmarks.objective(name, Bounds(-100.0, 100.0, 3))
         X = np.array([[0.5, -0.5, 1.5], [1.0, 1.0, 1.0]])
         assert np.array_equal(obj.value_batch(X), benchmarks.value_batch(name, X))
         for x, g in zip(X, benchmarks.gradient_batch(name, X)):
@@ -180,5 +181,5 @@ class TestObjectiveFactory:
 
     def test_custom_bounds_respected(self):
         bounds = Bounds(-5.0, 5.0, 3)
-        obj = benchmarks.objective("zhou2", 3, bounds)
+        obj = benchmarks.objective("zhou2", bounds)
         assert obj.domain is bounds

@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from stagbench import benchmarks, harness, verify
+from stagbench import algorithms, benchmarks, harness, verify
 from stagbench.cli import (CONFIG_KEYS, _parse_args, main, parse_config,
                            read_config_file)
-from stagbench.core import derive_stream
+from stagbench.core import Bounds, derive_stream
 from stagbench.harness import ExperimentConfig
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -128,8 +128,8 @@ class TestParseConfig:
 # the one stderr line and exit code it gives.  Any string is a path, so the
 # bad output_dir is one that cannot be created: an I/O error.
 MALFORMED = {
-    "functions": ("zhou9", "error: unknown function 'zhou9'; expected one of "
-                  "('zhou1', 'zhou2', 'zhou3')\n", 2),
+    "functions": ("zhou9", "error: unknown benchmark function 'zhou9'; expected "
+                  "one of ('zhou1', 'zhou2', 'zhou3')\n", 2),
     "algorithms": ("pso", "error: unknown algorithm 'pso'; expected one of "
                    "('gl25', 'clpso', 'lshade', 'gwo', 'woa', 'hho')\n", 2),
     "T": ("5,x", "error: T must be a comma-separated integer list, got '5,x'\n", 2),
@@ -254,11 +254,53 @@ class TestExperimentFlags:
         assert main(["experiment", "--T", "-5,100"]) == 2
         assert capsys.readouterr().err == "error: every T must be >= 1\n"
 
+    def test_abbreviated_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(["experiment", "--run", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --run" in capsys.readouterr().err
+
     def test_config_flag_reads_the_file_under_the_flags(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text("runs = 6\ndim = 5\n")
         assert _from_flags("--config", str(cfg_file), "--dim", "4") == _expected(
             runs=6, dim=4)
+
+
+def _owner_message(check) -> str:
+    with pytest.raises(ValueError) as exc:
+        check()
+    return str(exc.value)
+
+
+# For each grid input that a lower layer checks: the config fields, the
+# `experiment` flags and the owner's own call, which all give one message.
+OWNED_RULES = {
+    "function": (dict(functions=("zhou9",)), ["--functions", "zhou9"],
+                 lambda: benchmarks.objective("zhou9", Bounds(-100.0, 100.0, 3))),
+    "algorithm": (dict(algorithms=("pso",)), ["--algorithms", "pso"],
+                  lambda: algorithms.check_name("pso")),
+    "dim": (dict(dim=1), ["--dim", "1"],
+            lambda: benchmarks.objective("zhou1", Bounds(-100.0, 100.0, 1))),
+    "box": (dict(bounds_lo=1, bounds_hi=-1), ["--bounds", "1,-1"],
+            lambda: Bounds(1.0, -1.0, 3)),
+}
+
+
+class TestOneMessagePerRule:
+    @pytest.mark.parametrize("rule", OWNED_RULES)
+    def test_config_and_command_give_the_owners_message(self, tmp_path, capsys,
+                                                        rule):
+        fields, flags, check = OWNED_RULES[rule]
+        message = _owner_message(check)
+        assert _owner_message(lambda: ExperimentConfig(**fields)) == message
+        base = {"--functions": "zhou1", "--algorithms": "gwo", "--T": "5",
+                "--runs": "1"}
+        argv = [f"{f}={v}" for f, v in base.items() if f != flags[0]]
+        out = tmp_path / "out"
+        assert main(["experiment", *argv, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestReadConfigFile:
@@ -463,6 +505,15 @@ class TestBenchCommand:
         expected = capsys.readouterr()
         assert main(["bench", "zhou3", "--point", point]) == 0
         assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("argv", (["--poi", "-1,2,3"], ["--poi=-1,2,3"]))
+    def test_abbreviated_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "zhou3", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert main(["bench", "zhou3", "--point", "-1,2,3"]) == 0
+        assert "point: -1,2,3\n" in capsys.readouterr().out
 
     def test_optimum_without_a_branch_leaves_the_next_flag_alone(self):
         args = _parse_args(["bench", "zhou2", "--optimum", "--dim", "4"])
