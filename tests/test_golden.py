@@ -7,9 +7,11 @@ uses a 200-generation horizon, so its runs reach GL25's local phase,
 LSHADE's minimum population, HHO's late exploitation schedule and the
 generation cap.  The sha256 of ``records.csv``, ``summary.csv``
 and of the curve files (concatenated in file-name order, each preceded by
-its name) is pinned.  A change that is meant to be a pure speed-up or
-refactor must keep these bytes; one that changes results on purpose
-re-pins them and says why.
+its name) is pinned, and so are two counts taken the way
+``perfbench/tracing.py`` takes them: the calls into ``kernels.VALUE`` and
+the sum of each run's ``tracker.improvement_count``.  A change that is meant
+to be a pure speed-up or refactor must keep these bytes and counts; one that
+changes results on purpose re-pins them and says why.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 
 import pytest
 
-from stagbench import harness
+from stagbench import harness, kernels
 
 # (dim, T, max_generations) -> digests of records.csv, summary.csv and the
 # curve files.
@@ -39,6 +41,14 @@ GOLDEN = {
         "summary": "81e278f62b1fe20da9832c03536f18b3cc3ea7712d38b73e1bbd47178f7bf8ec",
         "curves": "21c45fe5cdcf399bf07de5df871113d9765c29f1af47021211b96cfce2684d04",
     },
+}
+
+
+# (dim, T, max_generations) -> (kernels.VALUE calls, summed improvement_count).
+COUNTS = {
+    (3, 100, 20000): (7961, 558),
+    (10, 60, 20000): (7263, 1076),
+    (3, 50, 200): (4128, 943),
 }
 
 
@@ -66,7 +76,9 @@ def _case_id(key) -> str:
 @pytest.mark.parametrize(
     "dim,T,max_generations", sorted(GOLDEN), ids=[_case_id(k) for k in sorted(GOLDEN)]
 )
-def test_grid_outputs_match_pinned_digests(tmp_path, dim, T, max_generations):
+def test_grid_outputs_match_pinned_digests(
+    tmp_path, monkeypatch, dim, T, max_generations
+):
     cfg = harness.ExperimentConfig(
         T_values=(T,),
         runs=1,
@@ -75,7 +87,30 @@ def test_grid_outputs_match_pinned_digests(tmp_path, dim, T, max_generations):
         max_generations=max_generations,
         capture_curves=True,
     )
-    records, summary = harness.run_experiment(cfg)
+    kernel_calls = 0
+    improvements = 0
+
+    def counting_kernel(kernel):
+        def counted(X):
+            nonlocal kernel_calls
+            kernel_calls += 1
+            return kernel(X)
+
+        return counted
+
+    loop = harness.run_until_stagnation
+
+    def counting_loop(*args, **kwargs):
+        nonlocal improvements
+        out = loop(*args, **kwargs)
+        improvements += out[0].tracker.improvement_count
+        return out
+
+    for f, kernel in list(kernels.VALUE.items()):
+        monkeypatch.setitem(kernels.VALUE, f, counting_kernel(kernel))
+    monkeypatch.setattr(harness, "run_until_stagnation", counting_loop)
+    # One worker: the grid runs in this process, where the counters live.
+    records, summary = harness.run_experiment(cfg, workers=1)
     records_path = str(tmp_path / "records.csv")
     summary_path = str(tmp_path / "summary.csv")
     harness.write_records(records, records_path)
@@ -88,3 +123,4 @@ def test_grid_outputs_match_pinned_digests(tmp_path, dim, T, max_generations):
         "curves": _curves_sha256(curves),
     }
     assert got == GOLDEN[(dim, T, max_generations)]
+    assert (kernel_calls, improvements) == COUNTS[(dim, T, max_generations)]
