@@ -70,8 +70,8 @@ def _module(algorithm: str):
 def sentinel_values(raw: np.ndarray) -> np.ndarray:
     """Replace non-finite objective outputs with +inf so they never win.
 
-    An all-finite input is returned as is, not copied."""
-    raw = np.asarray(raw, dtype=np.float64)
+    `raw` is the float64 array that `ObjectiveSpec.value_batch` returns; an
+    all-finite input is returned as is, not copied."""
     finite = np.isfinite(raw)
     if finite.all():
         return raw

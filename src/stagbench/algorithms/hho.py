@@ -57,13 +57,10 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     e0 = gen.uniform(-1.0, 1.0, size=n)
     q = gen.random(n)
     perch_idx = gen.integers(0, n, size=n)
-    ra = gen.random(n)
-    rb = gen.random(n)
-    r = gen.random(n)
-    jump = 2.0 * (1.0 - gen.random(n))
+    ra, rb, r, jump = gen.random((4, n))
+    jump = 2.0 * (1.0 - jump)
     dive_rand = gen.random((n, dim))
-    levy_u = gen.standard_normal((n, dim))
-    levy_v = gen.standard_normal((n, dim))
+    levy_u, levy_v = gen.standard_normal((2, n, dim))
 
     E = e1 * e0
     absE = np.abs(E)

@@ -114,17 +114,15 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
             # a parent with +inf sentinel was beaten; give it the largest
             # finite weight so the Lehmer means stay defined
             cap = weights[finite_w].max() if finite_w.any() else 1.0
-            weights = np.where(finite_w, weights, cap if cap > 0 else 1.0)
-        wsum = weights.sum()
-        if wsum > 0:
-            wn = weights / wsum
-            k = mem["k"]
-            mem["m_f"][k] = (wn * s_f**2).sum() / (wn * s_f).sum()
-            if np.isnan(mem["m_cr"][k]) or s_cr.max() == 0.0:
-                mem["m_cr"][k] = np.nan
-            else:
-                mem["m_cr"][k] = (wn * s_cr**2).sum() / (wn * s_cr).sum()
-            mem["k"] = (k + 1) % h
+            weights = np.where(finite_w, weights, cap)
+        wn = weights / weights.sum()
+        k = mem["k"]
+        mem["m_f"][k] = (wn * s_f**2).sum() / (wn * s_f).sum()
+        if np.isnan(mem["m_cr"][k]) or s_cr.max() == 0.0:
+            mem["m_cr"][k] = np.nan
+        else:
+            mem["m_cr"][k] = (wn * s_cr**2).sum() / (wn * s_cr).sum()
+        mem["k"] = (k + 1) % h
 
         archive = np.concatenate([archive, X[win]], axis=0)
         X = np.where(win[:, None], trial, X)
@@ -132,7 +130,6 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
 
     frac = schedule_fraction(state.generation + 1, state.schedule_horizon)
     n_next = _round_half_up(mem["pop_init"] + (POP_MIN - mem["pop_init"]) * frac)
-    n_next = max(POP_MIN, min(n, n_next))
     if n_next < n:
         keep = np.sort(vals.argsort(kind="stable")[:n_next])
         X = X[keep]

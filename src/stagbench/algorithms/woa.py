@@ -38,10 +38,8 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     a2 = -1.0 - frac
     leader = state.tracker.best_point
 
-    r1 = gen.random(n)
-    r2 = gen.random(n)
-    p = gen.random(n)
-    l = (a2 - 1.0) * gen.random(n) + 1.0
+    r1, r2, p, l = gen.random((4, n))
+    l = (a2 - 1.0) * l + 1.0
     ref_idx = gen.integers(0, n, size=n)
 
     A = (2.0 * a * r1 - a)[:, None]

@@ -22,6 +22,26 @@ def _fresh_state(algorithm, obj=None, seed=42, horizon=1000):
     return algos.init(algorithm, obj, _stream(algorithm, seed), horizon)
 
 
+# Objective outputs with the non-finite kinds the evaluation tail masks.
+_TABLE = np.array([9.0, np.nan, 4.0, -np.inf, 4.0])
+
+
+def _table_objective(inner: ObjectiveSpec) -> ObjectiveSpec:
+    """`inner` with NaN or -inf in place of its value wherever the first
+    coordinate's thousandths pick a non-finite `_TABLE` entry."""
+
+    def table(X, _inner=inner):
+        special = _TABLE[(np.floor(np.abs(X[:, 0]) * 1e3) % _TABLE.size).astype(int)]
+        return np.where(np.isfinite(special), _inner.batch_evaluator(X), special)
+
+    return ObjectiveSpec(
+        name="table",
+        batch_evaluator=table,
+        batch_gradient=inner.batch_gradient,
+        domain=inner.domain,
+    )
+
+
 class CountingObjective:
     """Wrap an ObjectiveSpec so every evaluated point is counted."""
 
@@ -89,11 +109,10 @@ class TestHelpers:
 
     def test_evaluate_clamps_sentinels_folds_and_counts(self):
         seen = []
-        raw = np.array([9.0, np.nan, 4.0, -np.inf, 4.0])
 
         def table(X):
             seen.append(X.copy())
-            return raw.copy()
+            return _TABLE.copy()
 
         state = _fresh_state("gwo", sphere_objective(2))
         state.objective = ObjectiveSpec(
@@ -149,6 +168,23 @@ class TestDrawEquivalences:
         scalars = [a.integers(0, n) for _ in range(k)]
         sized = b.integers(0, n, size=k)
         assert scalars == sized.tolist()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
+
+    def test_block_of_four_equals_four_uniform_draws(self, n, half_used):
+        a, b = _generator(n, half_used), _generator(n, half_used)
+        rows = [a.random(n) for _ in range(4)]
+        block = b.random((4, n))
+        assert np.array_equal(np.stack(rows), block)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.integers(0, 2**40) == b.integers(0, 2**40)
+
+    @pytest.mark.parametrize("dim", (1, 3, 10))
+    def test_pair_block_equals_two_normal_draws(self, n, half_used, dim):
+        a, b = _generator(n, half_used), _generator(n, half_used)
+        pair = [a.standard_normal((n, dim)) for _ in range(2)]
+        block = b.standard_normal((2, n, dim))
+        assert np.array_equal(np.stack(pair), block)
         assert a.bit_generator.state == b.bit_generator.state
         assert a.integers(0, 2**40) == b.integers(0, 2**40)
 
@@ -271,6 +307,41 @@ class TestLshadeSpecifics:
         n_final = state.population.shape[0]
         assert n_final == lshade.POP_MIN
         assert n_final < n0
+
+    @pytest.mark.parametrize("table", (False, True), ids=("zhou1", "table"))
+    def test_schedule_and_memory_slot_at_every_generation(self, monkeypatch, table):
+        # The population size follows the schedule exactly, and the memory
+        # slot advances on exactly the generations with a strict win.
+        horizon = 100
+        obj = objective("zhou1", Bounds(-100.0, 100.0, 3))
+        if table:
+            obj = _table_objective(obj)
+        state = algos.init("lshade", obj, _stream("lshade"), horizon)
+        pop_init = state.memory["pop_init"]
+        assert state.population.shape[0] == pop_init
+        trial_vals = []
+        evaluate = lshade.evaluate
+
+        def recording(state, X):
+            out = evaluate(state, X)
+            trial_vals.append(out[1])
+            return out
+
+        monkeypatch.setattr(lshade, "evaluate", recording)
+        wins = sentinel_wins = 0
+        for g in range(1, horizon + 1):
+            parent_vals, k = state.values, state.memory["k"]
+            state = algos.step(state)
+            won = trial_vals[-1] < parent_vals
+            frac = algos.schedule_fraction(g, horizon)
+            n = lshade._round_half_up(pop_init + (lshade.POP_MIN - pop_init) * frac)
+            assert state.population.shape[0] == n
+            assert state.memory["k"] == (k + won.any()) % lshade.MEMORY_SIZE
+            wins += won.any()
+            sentinel_wins += (won & np.isinf(parent_vals)).any()
+        assert n == lshade.POP_MIN
+        assert 0 < wins < horizon
+        assert (sentinel_wins > 0) == table
 
     def test_archive_capacity_respected(self):
         obj = objective("zhou2", Bounds(-100.0, 100.0, 3))
