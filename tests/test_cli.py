@@ -723,6 +723,40 @@ class TestVerifyCommand:
         ]
 
 
+# sha256 of `stagbench nominal` stdout: a constant ratio, a one-step collapse
+# whose 0/0 steps print nan, a stagnant partner, random pairing at n=7 and a
+# ring with two stagnant individuals.
+NOMINAL_DIGESTS = {
+    "--alpha 0.25 --steps 20":
+        "209c0c53eaa223402ff3de00a7c908725728f8e502403e6a9bfc2cda26b18092",
+    "--alpha 0.5 --steps 5":
+        "dbddccf3a1c5b86592787d19593bba20bb26d871c1769f12573240e087db899e",
+    "--alpha 1.5 --n 2 --stagnant 1 --steps 20":
+        "dbe3bd26d4d5d252d84191e663aee7fa8ef758af76273622e26d3d94fe2b0c1c",
+    "--alpha 0.3 --n 7 --dim 3 --steps 200":
+        "4a9a590750420841bcef559dffe2b70301977aeb36178e29b64dd06261f5e614",
+    "--alpha 0.9 --n 5 --stagnant 0,2 --pairing ring --steps 3000":
+        "6b34a4c7c97b7132bcd1024067a42d89ca6b4ee385e16e605c05df0b193a397e",
+}
+
+
+def test_contraction_outputs_are_pinned(capsys):
+    for argv, expected in NOMINAL_DIGESTS.items():
+        assert main(["nominal", *argv.split()]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == expected, argv
+    assert verify.check_theorem1() == (
+        "theorem1_contraction", True,
+        "max |step ratio - |1-2a|| = 2.220e-16 over alphas "
+        "(0.1, 0.25, 0.5, 0.75, 0.9)",
+    )
+    assert verify.check_remark2() == (
+        "remark2_witness", True,
+        "stagnant contracts, mutual expands for alphas (1.1, 1.5, 1.9); "
+        "max factor deviation = 4.441e-16",
+    )
+
+
 def _child_env() -> dict:
     """This environment with the checkout's ``src`` first on PYTHONPATH, so
     a child interpreter imports the code under test without an install."""
