@@ -130,6 +130,12 @@ def fd_gradient(name: str, X: np.ndarray) -> np.ndarray:
     reach local frequencies near 2e6 per unit coordinate, so the 2nd-order
     formula carries relative truncation error up to ~1e-2 on zhou2/zhou3,
     far above what the 6th-order formula leaves (~1e-7).
+
+    FD_STEP is validated only where criterion 5 checks it, on random points
+    of [-2, 2]^3.  Farther out the frequencies rise: at the zhou3/woa point
+    (-23.586112946289894, 6.892615318949088, -5.131355323514834) returned at
+    base seed 42, dim 3, T=100, it reads the x3 component about 30 % low
+    (3.506e15 against 5.170e15).  ROADMAP item 2 plans a step for such points.
     """
     _check_name(name)
     X = _as_batch(X)

@@ -96,10 +96,11 @@ def read_config_file(path: str) -> dict:
     """Parse a flat key=value config file into a {key: raw string} dict.
 
     Blank lines and comments (from a ``#`` that starts the line or follows
-    whitespace) are skipped and keys and values stripped; a line without
-    ``=``, an unknown key or a key set twice raises ValueError at path:lineno."""
+    whitespace) are skipped and keys and values stripped, as is a leading
+    UTF-8 byte-order mark; a line without ``=``, an unknown key or a key set
+    twice raises ValueError at path:lineno."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
@@ -241,13 +242,11 @@ def _cmd_nominal(args) -> int:
     predicted = nominal.predicted_factor(args.alpha, stagnant=bool(stagnant))
     out = sys.stdout
     out.write("step,diameter,predicted_factor,measured_factor\n")
+    measured = np.append(np.nan, nominal.step_ratios(errors))
     for k, diam in enumerate(errors):
-        measured = (
-            errors[k] / errors[k - 1] if k > 0 and errors[k - 1] > 0 else float("nan")
-        )
         out.write(
             f"{k},{format_float(diam)},{format_float(predicted)},"
-            f"{format_float(measured)}\n"
+            f"{format_float(measured[k])}\n"
         )
     return 0
 

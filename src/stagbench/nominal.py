@@ -15,9 +15,9 @@ and the dimension, and random pairings are drawn from the numpy Generator
 the caller passes.  Each step is one update of all pairs at once, the
 trajectory is one read-only ``(steps + 1, N, dim)`` array, and the
 population diameter (max pairwise distance) is recorded per step.
-``measured_contraction`` estimates the per-step contraction factor from such
-a diameter sequence, and ``predicted_factor`` gives the two-individual
-theory value to compare against.
+``step_ratios`` measures the contraction factor of every step of such a
+diameter sequence, and ``predicted_factor`` gives the two-individual theory
+value to compare against.
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ __all__ = [
     "pair_step",
     "simulate",
     "diameter",
-    "measured_contraction",
+    "step_ratios",
     "predicted_factor",
 ]
 
 PAIRINGS = ("mutual_random", "ring")
-
-# Diameter entries below this are treated as exact zeros by
-# measured_contraction; dividing by them would underflow to garbage.
-_TINY = 1e-300
 
 
 def pair_step(xi, xj, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,27 +143,16 @@ def simulate(
     return trajectory, errors
 
 
-def measured_contraction(errors) -> float:
-    """Geometric-mean per-step ratio of a diameter sequence.
+def step_ratios(errors) -> np.ndarray:
+    """Per-step contraction factors ``errors[k] / errors[k-1]`` of a
+    diameter sequence, one fewer than its entries.
 
-    Ratios are taken over consecutive pairs of entries that both exceed
-    1e-300 (smaller values would underflow the division).  Fewer than two
-    such ratios — i.e. fewer than 3 usable consecutive entries — raise
-    ValueError.
+    A zero diameter that stays zero gives NaN and one that reopens gives
+    inf; neither warns.
     """
     e = np.asarray(errors, dtype=np.float64)
-    if e.ndim != 1:
-        raise ValueError("errors must be a 1-D sequence")
-    if np.any(~np.isfinite(e)) or np.any(e < 0):
-        raise ValueError("errors must be finite and non-negative")
-    usable = e > _TINY
-    both = usable[:-1] & usable[1:]
-    if int(both.sum()) < 2:
-        raise ValueError(
-            "need at least 3 usable consecutive entries to measure contraction"
-        )
-    ratios = e[1:][both] / e[:-1][both]
-    return float(np.exp(np.mean(np.log(ratios))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return e[1:] / e[:-1]
 
 
 def predicted_factor(alpha: float, stagnant: bool = False) -> float:

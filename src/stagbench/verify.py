@@ -61,12 +61,10 @@ def check_theorem1() -> Verdict:
     worst = 0.0
     zeros_stay = True
     for alpha in THEOREM1_ALPHAS:
-        errors = _errors("mutual", alpha)
-        before, after = errors[:-1], errors[1:]
-        moving = before > 0.0
-        zeros_stay = zeros_stay and not after[~moving].any()
-        predicted = nominal.predicted_factor(alpha)
-        deviation = np.abs(after[moving] / before[moving] - predicted)
+        ratios = nominal.step_ratios(_errors("mutual", alpha))
+        zeros_stay = zeros_stay and not np.isinf(ratios).any()
+        finite = ratios[np.isfinite(ratios)]  # a collapsed pair's 0/0 is NaN
+        deviation = np.abs(finite - nominal.predicted_factor(alpha))
         worst = max(worst, float(deviation.max(initial=0.0)))
     return (
         "theorem1_contraction",
@@ -76,17 +74,19 @@ def check_theorem1() -> Verdict:
 
 
 def check_remark2() -> Verdict:
+    """Every step against a stagnant partner contracts by |1 - a| < 1 and
+    every mutual step expands by |1 - 2a| > 1."""
     worst = 0.0
     ordered = True
     for alpha in REMARK2_ALPHAS:
-        stag = nominal.measured_contraction(_errors("stagnant", alpha))
-        mut = nominal.measured_contraction(_errors("mutual", alpha))
+        stag = nominal.step_ratios(_errors("stagnant", alpha))
+        mut = nominal.step_ratios(_errors("mutual", alpha))
         worst = max(
             worst,
-            abs(stag - nominal.predicted_factor(alpha, stagnant=True)),
-            abs(mut - nominal.predicted_factor(alpha)),
+            float(np.abs(stag - nominal.predicted_factor(alpha, stagnant=True)).max()),
+            float(np.abs(mut - nominal.predicted_factor(alpha)).max()),
         )
-        ordered = ordered and stag < 1.0 < mut
+        ordered = ordered and bool(stag.max() < 1.0 < mut.min())
     return (
         "remark2_witness",
         ordered and worst <= RATIO_TOL,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from stagbench import algorithms, benchmarks, harness, verify
+from stagbench import algorithms, benchmarks, harness, nominal, verify
 from stagbench.cli import (CONFIG_KEYS, _parse_args, main, parse_config,
                            read_config_file)
 from stagbench.core import Bounds, derive_stream
@@ -330,6 +330,12 @@ class TestReadConfigFile:
         with pytest.raises(ValueError) as exc:
             read_config_file(str(path))
         assert str(exc.value) == f"{path}:2: expected key = value, got 'dim 2'"
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_bytes("\ufeffruns = 2\ndim = 4\n".encode("utf-8"))
+        assert read_config_file(str(path)) == {"runs": "2", "dim": "4"}
+        assert parse_config(str(path))[0].runs == 2
 
 
 class TestNominalCommand:
@@ -704,6 +710,20 @@ class TestVerifyCommand:
         assert ok is False
         worst = float(detail.split(" = ")[1].split()[0])
         assert worst <= verify.RATIO_TOL
+
+    def test_remark2_checks_every_step_not_the_mean(self, monkeypatch):
+        # The stagnant alpha 1.5 run steps by 1.0 and then 0.25: its
+        # geometric mean is the predicted |1 - a| = 0.5, its steps are not.
+        def errors(label, alpha):
+            if (label, alpha) == ("stagnant", 1.5):
+                return np.array([10.0, 10.0, 2.5])
+            factor = nominal.predicted_factor(alpha, stagnant=label == "stagnant")
+            return 10.0 * factor ** np.arange(3.0)
+
+        monkeypatch.setattr(verify, "_errors", errors)
+        _, ok, detail = verify.check_remark2()
+        assert ok is False
+        assert detail.endswith("max factor deviation = 5.000e-01")
 
     def test_failing_check_exits_1_and_the_rest_still_print(
         self, monkeypatch, capsys

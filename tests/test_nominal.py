@@ -11,10 +11,10 @@ from stagbench.core import derive_stream
 from stagbench.nominal import (
     PAIRINGS,
     diameter,
-    measured_contraction,
     pair_step,
     predicted_factor,
     simulate,
+    step_ratios,
 )
 
 
@@ -125,13 +125,13 @@ class TestTwoIndividualExactness:
     def test_unstable_alpha_expands_mutual_contracts_stagnant(self, alpha):
         _, mutual = _simulate(alpha, [[-5.0], [5.0]], 40)
         _, stagnant = _simulate(alpha, [[10.0], [0.0]], 40, stagnant=(1,))
-        f_mut = measured_contraction(mutual)
-        f_stag = measured_contraction(stagnant)
-        assert f_mut == pytest.approx(predicted_factor(alpha), abs=1e-12)
-        assert f_stag == pytest.approx(
-            predicted_factor(alpha, stagnant=True), abs=1e-12
+        r_mut, r_stag = step_ratios(mutual), step_ratios(stagnant)
+        assert r_mut.shape == r_stag.shape == (40,)
+        np.testing.assert_allclose(r_mut, predicted_factor(alpha), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            r_stag, predicted_factor(alpha, stagnant=True), rtol=0, atol=1e-12
         )
-        assert f_stag < 1.0 < f_mut
+        assert r_stag.max() < 1.0 < r_mut.min()
 
     def test_alpha_half_single_step_collapse(self):
         _, errors = _simulate(0.5, [[-7.0], [3.0]], 5)
@@ -237,22 +237,24 @@ class TestArrayDynamics:
             _simulate(0.5, [[0.0], [np.inf]], 5)
 
 
-class TestMeasuredContraction:
-    def test_geometric_mean_of_ratios(self):
-        errors = [16.0, 8.0, 4.0, 2.0]
-        assert measured_contraction(errors) == pytest.approx(0.5, abs=1e-15)
+class TestStepRatios:
+    def test_geometric_sequence_gives_its_ratio_at_every_step(self):
+        ratios = step_ratios([16.0, 8.0, 4.0, 2.0])
+        assert ratios.dtype == np.float64
+        assert ratios.tolist() == [0.5, 0.5, 0.5]
 
-    def test_underflowed_entries_excluded(self):
-        errors = [1.0, 0.5, 0.25, 0.0, 0.0]
-        assert measured_contraction(errors) == pytest.approx(0.5, abs=1e-15)
+    def test_zero_that_stays_zero_is_nan_and_one_that_reopens_is_inf(self):
+        ratios = step_ratios([1.0, 0.5, 0.0, 0.0, 1e-300])
+        assert ratios[:2].tolist() == [0.5, 0.0]
+        assert np.isnan(ratios[2]) and ratios[3] == np.inf
 
-    def test_too_few_usable_entries(self):
-        with pytest.raises(ValueError, match="at least 3 usable"):
-            measured_contraction([1.0, 0.5, 0.0, 0.0])
+    def test_one_entry_gives_no_ratio(self):
+        assert step_ratios([3.0]).shape == (0,)
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            measured_contraction([1.0, -0.5, 0.25])
+    def test_division_by_zero_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step_ratios([0.0, 0.0, 1.0])
 
 
 class TestConfigValidation:
