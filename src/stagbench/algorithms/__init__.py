@@ -101,9 +101,7 @@ def init(
     `gen`, evaluate it and seed the tracker; the state keeps `gen` as its
     stream and denominates its schedules in `schedule_horizon` generations."""
     check_name(algorithm)
-    schedule_horizon = as_integer("schedule_horizon", schedule_horizon)
-    if schedule_horizon < 1:
-        raise ValueError("schedule_horizon must be >= 1")
+    schedule_horizon = as_integer("schedule_horizon", schedule_horizon, 1)
     body = _module(algorithm)
     dim = objective.dim
     n = body.pop_size(dim)

@@ -263,8 +263,10 @@ def _cmd_bench(args) -> int:
                 f"--dim is {args.dim} but --point has {point.size} coordinates"
             )
     else:
-        point = benchmarks.optimum(name, 3 if args.dim is None else args.dim,
-                                   args.optimum)
+        dim = 3 if args.dim is None else args.dim
+        point = benchmarks.optimum(name, dim, args.optimum)
+        if not np.isfinite(point).all():
+            raise ValueError(f"the {name} optimum overflows float64 at dim {dim}")
     X = as_point(point)[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(benchmarks.value_batch(name, X)[0])

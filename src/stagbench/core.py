@@ -5,8 +5,8 @@ populations are (n, dim) arrays.  This module provides the box-bounds type,
 the objective-function container, `derive_stream`, which gives each label
 path under a base seed its own deterministic numpy Generator, the monotone
 best-so-far tracker that every optimizer shares (a run folds each evaluated
-batch into its tracker in place), and the one integer rule for public sizes
-and seeds.
+batch into its tracker in place), and one rule per numeric input:
+`as_integer` for sizes and seeds with their lower bound, `as_real` for reals.
 """
 
 from __future__ import annotations
@@ -30,25 +30,30 @@ __all__ = [
 ]
 
 
-def as_integer(field: str, value) -> int:
+def as_integer(field: str, value, minimum: Optional[int] = None) -> int:
     """`value` as an int; anything but an int or a numpy integer (a bool is
-    not one) raises ValueError naming `field`."""
+    not one), or one below `minimum`, raises ValueError naming `field`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{field} must be >= {minimum}")
     return int(value)
 
 
 def as_real(field: str, value) -> float:
-    """`value` as a float; anything but a real number (a bool is not one), or
-    one beyond float64, raises ValueError naming `field`."""
+    """`value` as a finite float; anything but a real number (a bool is not
+    one), one beyond float64, inf or NaN raises ValueError naming `field`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{field} must be a real number, got {value!r}")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         raise ValueError(
             f"{field} must be a real number within float64, got {value!r}"
         ) from None
+    if not math.isfinite(real):
+        raise ValueError(f"{field} must be finite, got {real!r}")
+    return real
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -96,10 +101,7 @@ class Bounds:
 
     def __post_init__(self):
         for field in ("lo", "hi"):
-            value = as_real(field, getattr(self, field))
-            if not math.isfinite(value):
-                raise ValueError(f"bounds must be finite, got {field}={value!r}")
-            object.__setattr__(self, field, value)
+            object.__setattr__(self, field, as_real(field, getattr(self, field)))
         if not self.lo < self.hi:
             raise ValueError(
                 "the lower bound must be strictly below the upper bound, "
@@ -110,10 +112,7 @@ class Bounds:
                 "bounds must have a finite width hi - lo in float64, "
                 f"got lo={self.lo!r}, hi={self.hi!r}"
             )
-        dim = as_integer("dim", self.dim)
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "dim", as_integer("dim", self.dim, 1))
 
     @property
     def span(self) -> float:

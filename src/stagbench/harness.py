@@ -93,10 +93,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for key in ("functions", "algorithms"):
             object.__setattr__(self, key, _sequence(key, getattr(self, key), "names"))
-        for key in ("runs", "dim", "max_generations", "base_seed"):
-            object.__setattr__(self, key, as_integer(key, getattr(self, key)))
+        for key, minimum in (
+            ("runs", 1), ("dim", None), ("max_generations", 1), ("base_seed", None)
+        ):
+            object.__setattr__(self, key, as_integer(key, getattr(self, key), minimum))
         T_values = _sequence("T_values", self.T_values, "integers")
-        T_values = tuple(as_integer("every T", t) for t in T_values)
+        T_values = tuple(as_integer("every T", t, 1) for t in T_values)
         object.__setattr__(self, "T_values", T_values)
         for key in ("bounds_lo", "bounds_hi", "stationarity_threshold"):
             object.__setattr__(self, key, as_real(key, getattr(self, key)))
@@ -122,19 +124,10 @@ class ExperimentConfig:
             repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
             if repeated:
                 raise ValueError(f"{key} lists {repeated[0]!r} more than once")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be >= 1")
-        for t in self.T_values:
-            if t < 1:
-                raise ValueError("every T must be >= 1")
-            if t >= self.max_generations:
-                raise ValueError("every T must be < max_generations")
+        if max(self.T_values) >= self.max_generations:
+            raise ValueError("every T must be < max_generations")
         if not self.stationarity_threshold > 0:
             raise ValueError("stationarity_threshold must be > 0")
-        if self.stationarity_threshold == np.inf:
-            raise ValueError("stationarity_threshold must be finite, got inf")
 
     def domain(self) -> Bounds:
         return Bounds(self.bounds_lo, self.bounds_hi, self.dim)
@@ -226,8 +219,7 @@ def run_until_stagnation(
     ``(generation, best_value)`` per generation from the starting one, or
     ``()`` unless `capture`.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = as_integer("T", T, 1)
     start = state.generation
     gens = [start]
     vals = [state.tracker.best_value]
@@ -300,10 +292,7 @@ def _ignore_sigint():
 
 def check_workers(workers) -> int:
     """`workers` as an int; anything but an integer >= 0 raises ValueError."""
-    workers = as_integer("workers", workers)
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
-    return workers
+    return as_integer("workers", workers, 0)
 
 
 def run_experiment(

@@ -11,8 +11,8 @@ once as one (n, dim - 1) array from ``X[:, 1:]`` and ``X[:, :-1]``, so the
 number of numpy calls does not grow with the dimension.  Floating-point
 addition is not associative, so the order of the additions is fixed:
 
-* values add the terms left to right, ``head + t0 + t1 + ...``, through
-  ``np.add.accumulate``; ``sum`` / ``np.add.reduce`` may add pairwise;
+* values add ``head`` into ``t0`` in place, then ``t1``, ``t2``, ... in order
+  by ``np.add.accumulate`` along each row; ``np.add.reduce`` may add pairwise;
 * gradient column ``j`` receives the term of residual ``j - 1`` first and
   that of residual ``j`` second (``g[:, 1:] += ...`` before
   ``g[:, :-1] += ...``), and both land on zeros or on the head term.
@@ -38,11 +38,10 @@ USING_NUMBA = False
 
 
 def _fold(head: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``head + terms[:, 0] + terms[:, 1] + ...``, added left to right."""
-    cols = np.empty((terms.shape[1] + 1, head.shape[0]))
-    cols[0] = head
-    cols[1:] = terms.T
-    return np.add.accumulate(cols, axis=0)[-1]
+    """``head + terms[:, 0] + terms[:, 1] + ...``, added left to right in
+    `terms`, the caller's temporary; ``t0 + head`` is ``head + t0`` exactly."""
+    terms[:, 0] += head
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 @functools.cache

@@ -97,26 +97,21 @@ def simulate(
     not a finite float64.
     """
     alpha = as_real("alpha", alpha)
-    if not np.isfinite(alpha):
-        raise ValueError("alpha must be finite")
     if pairing not in PAIRINGS:
         raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
     stagnant = {as_integer("every stagnant_set entry", i) for i in stagnant_set}
-    steps = as_integer("steps", steps)
+    steps = as_integer("steps", steps, 1)
     X = np.array(init, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("init must be an (N, dim) array of points")
     n, dim = X.shape
     if n < 2:
         raise ValueError("need at least 2 individuals")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    as_integer("dim", dim, 1)
     if not all(0 <= i < n for i in stagnant):
         raise ValueError(f"stagnant_set indices must lie in [0, {n})")
     if len(stagnant) >= n:
         raise ValueError("at least one individual must be mobile")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if not np.all(np.isfinite(X)):
         raise ValueError("point coordinates must be finite")
     frozen = np.isin(np.arange(n), list(stagnant))

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from stagbench import benchmarks
-from stagbench.core import Bounds
+from stagbench import benchmarks, verify
+from stagbench.core import Bounds, euclidean_norm
 
 
 class TestOptima:
@@ -46,6 +46,21 @@ class TestOptima:
         assert opt[0] == -1.0
         assert abs(benchmarks.value_batch(name, opt[None, :])[0]) <= 1e-8
         assert np.linalg.norm(benchmarks.gradient_batch(name, opt[None, :])) <= 1e-4
+
+    @pytest.mark.parametrize("branch", benchmarks.BRANCHES)
+    @pytest.mark.parametrize("dim", range(6, 13))
+    def test_zhou3_optimum_certified_through_dim_12(self, branch, dim):
+        # Past dim 12 the rounded minimizer's gradient grows: 0.11 at dim 13.
+        opt = benchmarks.optimum("zhou3", dim, branch)[None, :]
+        grad = benchmarks.gradient_batch("zhou3", opt)[0]
+        assert euclidean_norm(grad) <= verify.OPT_GRAD_TOL
+
+    def test_zhou3_past_float_range_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(benchmarks.optimum("zhou3", 513)).all()
+            opt = benchmarks.optimum("zhou3", 1100, "plus")
+        assert np.isfinite(opt[:513]).all() and (np.abs(opt[513:]) == np.inf).all()
 
     def test_branches_differ_only_in_last_coordinate(self):
         minus = benchmarks.optimum("zhou2", 4, "minus")

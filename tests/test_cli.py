@@ -472,6 +472,23 @@ class TestBenchCommand:
         assert main(["bench", "zhou1", "--optimum"]) == 0
         assert "point: 1,2,8\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dim", (12, 40))
+    def test_optimum_beyond_float64_names_function_and_dim(self, capsys, dim):
+        assert main(["bench", "zhou1", "--optimum", "--dim", "11"]) == 0
+        assert "grad_norm: 0\n" in capsys.readouterr().out
+        assert main(["bench", "zhou1", "--optimum", "--dim", str(dim)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the zhou1 optimum overflows float64 at dim {dim}\n"
+        )
+
+    def test_zhou3_optimum_past_2_to_the_1024th_fails_in_one_line(self, capsys):
+        assert main(["bench", "zhou3", "--optimum", "plus", "--dim", "1100"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the zhou3 optimum overflows float64 at dim 1100\n"
+        )
+
     def test_unknown_function_exits_2_and_lists_names(self, capsys):
         # The one-coordinate point checks that the name is checked first.
         for point in ("1,2", "1"):
@@ -593,6 +610,25 @@ class TestRunAndExperimentCommands:
             "error: stationarity_threshold must be finite, got inf\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        (
+            (["--threshold", "nan"], "stationarity_threshold must be finite, got nan"),
+            (["--bounds=-inf,1"], "bounds_lo must be finite, got -inf"),
+            (["--bounds=-1,nan"], "bounds_hi must be finite, got nan"),
+        ),
+    )
+    def test_non_finite_real_exits_2_and_names_key(self, tmp_path, capsys,
+                                                  flags, message):
+        code = main(["experiment", *ONE_RUN, *flags, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_integer_bound_fails_before_an_unknown_name(self, capsys):
+        assert main(["experiment", "--runs", "0", "--functions", "zhou9"]) == 2
+        assert capsys.readouterr().err == "error: runs must be >= 1\n"
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["experiment", "--config", "/no/such/file.cfg"]) == 2

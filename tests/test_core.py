@@ -12,10 +12,59 @@ from stagbench.core import (
     BestTracker,
     Bounds,
     ObjectiveSpec,
+    as_integer,
     as_point,
+    as_real,
     derive_stream,
     euclidean_norm,
 )
+
+
+class TestAsInteger:
+    def test_below_minimum_names_the_field(self):
+        with pytest.raises(ValueError, match="^x must be >= 1$"):
+            as_integer("x", 0, 1)
+        with pytest.raises(ValueError, match="^x must be >= 0$"):
+            as_integer("x", np.int64(-1), 0)
+
+    @pytest.mark.parametrize("value", (1, np.int64(1), np.int32(1), np.uint8(1)))
+    def test_minimum_itself_is_a_python_int(self, value):
+        out = as_integer("x", value, 1)
+        assert out == 1 and type(out) is int
+
+    def test_no_minimum_accepts_negatives(self):
+        assert as_integer("x", -5) == -5
+        assert as_integer("x", np.int64(-2**63), None) == -2**63
+
+    @pytest.mark.parametrize("value", (True, False, 1.0, "1", None))
+    def test_non_integers_rejected_before_the_bound(self, value):
+        with pytest.raises(ValueError, match="^x must be an integer, got "):
+            as_integer("x", value, 1)
+
+
+class TestAsReal:
+    @pytest.mark.parametrize(
+        "value, shown",
+        ((np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan"),
+         (np.float32("inf"), "inf"), (np.float64("nan"), "nan")),
+    )
+    def test_non_finite_rejected_naming_the_field(self, value, shown):
+        with pytest.raises(ValueError, match=f"^y must be finite, got {shown}$"):
+            as_real("y", value)
+
+    def test_beyond_float64_keeps_its_message(self):
+        with pytest.raises(ValueError, match="^y must be a real number within float64"):
+            as_real("y", 10**400)
+
+    @pytest.mark.parametrize("value", (True, "1.0", None, 1j))
+    def test_non_reals_rejected(self, value):
+        with pytest.raises(ValueError, match="^y must be a real number, got "):
+            as_real("y", value)
+
+    def test_finite_reals_become_python_floats(self):
+        for value in (0, -3, np.float32(0.5), np.int64(7), 1.7976931348623157e308):
+            out = as_real("y", value)
+            assert type(out) is float and out == float(value)
 
 
 class TestAsPoint:
@@ -87,9 +136,9 @@ class TestBounds:
             (dict(hi=None), "^hi must be a real number"),
             (dict(lo=True), "^lo must be a real number"),
             (dict(hi=10**400), "^hi must be a real number within float64"),
-            (dict(lo=-np.inf), "^bounds must be finite, got lo=-inf$"),
-            (dict(hi=np.inf), "^bounds must be finite, got hi=inf$"),
-            (dict(lo=np.nan), "^bounds must be finite, got lo=nan$"),
+            (dict(lo=-np.inf), "^lo must be finite, got -inf$"),
+            (dict(hi=np.inf), "^hi must be finite, got inf$"),
+            (dict(lo=np.nan), "^lo must be finite, got nan$"),
             (dict(dim=0), "^dim must be >= 1$"),
             (dict(dim=-3), "^dim must be >= 1$"),
             (dict(dim=2.0), "^dim must be an integer"),

@@ -137,7 +137,7 @@ class TestConfigValidation:
         (
             (0.0, "must be > 0"),
             (-1.0, "must be > 0"),
-            (float("nan"), "must be > 0"),
+            (float("nan"), "must be finite, got nan"),
             (float("inf"), "must be finite, got inf"),
         ),
     )
@@ -207,6 +207,17 @@ class TestRunUntilStagnation:
     def test_no_capture_returns_empty_curve(self):
         _, _, curve = run_until_stagnation(self._state(), 30, 20000)
         assert curve == ()
+
+    @pytest.mark.parametrize(
+        "T, message",
+        ((0, "^T must be >= 1$"), (-3, "^T must be >= 1$"),
+         (30.0, "^T must be an integer, got 30.0$")),
+    )
+    def test_T_is_an_integer_of_at_least_one(self, T, message):
+        state = self._state()
+        with pytest.raises(ValueError, match=message):
+            run_until_stagnation(state, T, 20000)
+        assert state.generation == 0
 
 
 def _stepped_by_hand(state, T, max_generations):

@@ -280,8 +280,8 @@ class TestConfigValidation:
             ("x", "^alpha must be a real number, got 'x'$"),
             (None, "^alpha must be a real number, got None$"),
             (10**400, "^alpha must be a real number within float64, got 1000"),
-            (float("nan"), "^alpha must be finite$"),
-            (np.inf, "^alpha must be finite$"),
+            (float("nan"), "^alpha must be finite, got nan$"),
+            (np.inf, "^alpha must be finite, got inf$"),
         ],
         ids=["bool", "str", "None", "huge-int", "nan", "inf"],
     )
