@@ -36,7 +36,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core import BestTracker, ObjectiveSpec, as_integer
+from ..core import BestTracker, ObjectiveSpec, as_choice, as_integer
 
 __all__ = ["ALGORITHMS", "AlgoState", "check_name", "init", "step", "best"]
 
@@ -85,10 +85,7 @@ def schedule_fraction(generation: int, horizon: int) -> float:
 
 def check_name(algorithm: str) -> None:
     """Raise ValueError unless `algorithm` is one of ALGORITHMS."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
+    as_choice("algorithm", algorithm, ALGORITHMS)
 
 
 def init(

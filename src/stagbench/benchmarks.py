@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Bounds, ObjectiveSpec, as_integer
+from .core import Bounds, ObjectiveSpec, as_choice, as_integer, as_points
 from .kernels import GRAD, VALUE
 
 __all__ = [
@@ -42,12 +42,8 @@ FUNCTIONS = ("zhou1", "zhou2", "zhou3")
 BRANCHES = ("minus", "plus")
 
 
-def _check_name(name: str) -> str:
-    if name not in FUNCTIONS:
-        raise ValueError(
-            f"unknown benchmark function {name!r}; expected one of {FUNCTIONS}"
-        )
-    return name
+def _check_name(name: str) -> None:
+    as_choice("benchmark function", name, FUNCTIONS)
 
 
 def _check_dim(dim: int) -> int:
@@ -58,12 +54,8 @@ def _check_dim(dim: int) -> int:
 
 
 def _as_batch(X: np.ndarray) -> np.ndarray:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
+    X = as_points(X)
     _check_dim(X.shape[1])
-    if not np.isfinite(X).all():
-        raise ValueError("batch contains non-finite coordinates")
     return X
 
 
@@ -97,8 +89,7 @@ def optimum(name: str, dim: int, branch: str = "minus") -> np.ndarray:
     """
     _check_name(name)
     dim = _check_dim(dim)
-    if branch not in BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
+    as_choice("branch", branch, BRANCHES)
     x = np.empty(dim, dtype=np.float64)
     with np.errstate(over="ignore"):
         if name == "zhou1":

@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="evaluate a benchmark function at a point",
                        allow_abbrev=False)
-    p.add_argument("function", help="zhou1 | zhou2 | zhou3")
+    p.add_argument("function", help=" | ".join(benchmarks.FUNCTIONS))
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--point", help="comma-separated coordinates")
     g.add_argument(
@@ -228,13 +228,15 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 def _cmd_nominal(args) -> int:
     try:
-        stagnant = [int(i) for i in _parse_list(args.stagnant)]
+        stagnant = _integers(args.stagnant)
     except ValueError:
         raise ValueError(
             f"--stagnant must be comma-separated integers, got {args.stagnant!r}"
         )
+    # A negative size draws an empty population, which `simulate` rejects
+    # with its own rule.
     init = derive_stream(args.seed, ["nominal"]).uniform(
-        -100.0, 100.0, size=(args.n, args.dim)
+        -100.0, 100.0, size=(max(args.n, 0), max(args.dim, 0))
     )
     gen = derive_stream(args.seed, ["nominal", "simulate"])
     _, errors = nominal.simulate(args.alpha, init, args.steps, gen,
@@ -329,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, KeyError, MemoryError, FileNotFoundError) as exc:
+    except (ValueError, MemoryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

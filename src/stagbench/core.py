@@ -5,8 +5,9 @@ populations are (n, dim) arrays.  This module provides the box-bounds type,
 the objective-function container, `derive_stream`, which gives each label
 path under a base seed its own deterministic numpy Generator, the monotone
 best-so-far tracker that every optimizer shares (a run folds each evaluated
-batch into its tracker in place), and one rule per numeric input:
-`as_integer` for sizes and seeds with their lower bound, `as_real` for reals.
+batch into its tracker in place), and one rule per input kind: `as_integer`
+for sizes and seeds with their lower bound, `as_real` for reals, `as_choice`
+for names, `as_sequence` for lists of inputs and `as_points` for batches.
 """
 
 from __future__ import annotations
@@ -23,8 +24,12 @@ __all__ = [
     "Bounds",
     "ObjectiveSpec",
     "BestTracker",
+    "as_choice",
     "as_integer",
     "as_point",
+    "as_points",
+    "as_real",
+    "as_sequence",
     "derive_stream",
     "euclidean_norm",
 ]
@@ -54,6 +59,30 @@ def as_real(field: str, value) -> float:
     if not math.isfinite(real):
         raise ValueError(f"{field} must be finite, got {real!r}")
     return real
+
+
+def as_choice(kind: str, value, choices: tuple) -> None:
+    """Raise ValueError naming `kind` unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ValueError(f"unknown {kind} {value!r}; expected one of {choices}")
+
+
+def as_sequence(field: str, value, kind: str) -> tuple:
+    """`value` as a tuple; a str, bytes or bytearray, which would split into
+    characters, or anything not iterable raises ValueError naming `field`."""
+    if isinstance(value, (str, bytes, bytearray)) or not np.iterable(value):
+        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}")
+    return tuple(value)
+
+
+def as_points(X) -> np.ndarray:
+    """`X` as a finite float64 (n, dim) batch, not copied if it is one."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("batch contains non-finite coordinates")
+    return X
 
 
 def as_point(x, dim: Optional[int] = None) -> np.ndarray:
@@ -162,13 +191,11 @@ def _label_word(label) -> int:
     seed material; strings go through SHA-256 so distinct names give
     independent substreams.
     """
-    if isinstance(label, (bool, float)):
-        raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
-    if isinstance(label, (int, np.integer)):
-        return int(label) % _U64
     if isinstance(label, str):
         digest = hashlib.sha256(label.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
+    if isinstance(label, (int, np.integer)) and not isinstance(label, bool):
+        return int(label) % _U64
     raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
 
 
@@ -179,11 +206,10 @@ def derive_stream(base_seed: int, labels: Sequence = ()) -> np.random.Generator:
     The same (base_seed, labels) always gives the same draws, independent of
     process, thread schedule or call order; distinct label paths give
     independent streams.  The seed words are ``base_seed % 2**64`` and then
-    one word per label.  A bare str or bytes is not a label path: it raises
-    ValueError rather than being split into one label per character.
+    one word per label.  A bare str or bytes is not a label path, nor is
+    anything not iterable: each raises ValueError.
     """
-    if isinstance(labels, (str, bytes)):
-        raise ValueError(f"labels must be a sequence of labels, got {labels!r}")
+    labels = as_sequence("labels", labels, "labels")
     words = [as_integer("base_seed", base_seed) % _U64]
     words.extend(_label_word(label) for label in labels)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))

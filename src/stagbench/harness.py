@@ -42,7 +42,8 @@ import numpy as np
 
 from . import algorithms as algos
 from .benchmarks import FUNCTIONS, objective
-from .core import Bounds, as_integer, as_real, derive_stream, euclidean_norm
+from .core import (Bounds, as_integer, as_real, as_sequence, derive_stream,
+                   euclidean_norm)
 
 __all__ = [
     "ExperimentConfig",
@@ -66,14 +67,6 @@ TERMINATION_STAGNATION = "stagnation"
 TERMINATION_CAP = "generation_cap"
 
 
-def _sequence(field: str, value, kind: str) -> tuple:
-    """`value` as a tuple; a str or anything not iterable raises ValueError
-    naming `field`."""
-    if isinstance(value, str) or not np.iterable(value):
-        raise ValueError(f"{field} must be a sequence of {kind}, got {value!r}")
-    return tuple(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The full grid specification plus run-control knobs."""
@@ -92,12 +85,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for key in ("functions", "algorithms"):
-            object.__setattr__(self, key, _sequence(key, getattr(self, key), "names"))
+            object.__setattr__(self, key, as_sequence(key, getattr(self, key), "names"))
         for key, minimum in (
             ("runs", 1), ("dim", None), ("max_generations", 1), ("base_seed", None)
         ):
             object.__setattr__(self, key, as_integer(key, getattr(self, key), minimum))
-        T_values = _sequence("T_values", self.T_values, "integers")
+        T_values = as_sequence("T_values", self.T_values, "integers")
         T_values = tuple(as_integer("every T", t, 1) for t in T_values)
         object.__setattr__(self, "T_values", T_values)
         for key in ("bounds_lo", "bounds_hi", "stationarity_threshold"):

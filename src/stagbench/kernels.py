@@ -53,7 +53,7 @@ def _zhou3_coef(dim: int) -> np.ndarray:
     return coef
 
 
-def zhou1_value_np(X: np.ndarray) -> np.ndarray:
+def zhou1_value(X: np.ndarray) -> np.ndarray:
     u = X[:, 0] - 1.0
     uu = u * u
     head = uu + np.sin(FREQ * uu) ** 2
@@ -61,7 +61,7 @@ def zhou1_value_np(X: np.ndarray) -> np.ndarray:
     return _fold(head, FREQ * (R * R) + FREQ * np.sin(FREQ * R) ** 2)
 
 
-def zhou1_grad_np(X: np.ndarray) -> np.ndarray:
+def zhou1_grad(X: np.ndarray) -> np.ndarray:
     g = np.zeros_like(X)
     u = X[:, 0] - 1.0
     g[:, 0] = 2.0 * u + 2.0 * FREQ * u * np.sin(2.0 * FREQ * (u * u))
@@ -73,7 +73,7 @@ def zhou1_grad_np(X: np.ndarray) -> np.ndarray:
     return g
 
 
-def zhou2_value_np(X: np.ndarray) -> np.ndarray:
+def zhou2_value(X: np.ndarray) -> np.ndarray:
     v = X[:, 0] + 1.0
     vv = v * v
     head = vv + np.sin(FREQ * vv) ** 2
@@ -82,7 +82,7 @@ def zhou2_value_np(X: np.ndarray) -> np.ndarray:
     return _fold(head, A + FREQ * np.sin(A) ** 2)
 
 
-def zhou2_grad_np(X: np.ndarray) -> np.ndarray:
+def zhou2_grad(X: np.ndarray) -> np.ndarray:
     g = np.zeros_like(X)
     v = X[:, 0] + 1.0
     g[:, 0] = 2.0 * v + 2.0 * FREQ * v * np.sin(2.0 * FREQ * (v * v))
@@ -94,7 +94,7 @@ def zhou2_grad_np(X: np.ndarray) -> np.ndarray:
     return g
 
 
-def zhou3_value_np(X: np.ndarray) -> np.ndarray:
+def zhou3_value(X: np.ndarray) -> np.ndarray:
     v = X[:, 0] + 1.0
     vv = v * v
     head = vv * (1.0 + np.sin(FREQ * vv) ** 2)
@@ -103,7 +103,7 @@ def zhou3_value_np(X: np.ndarray) -> np.ndarray:
     return _fold(head, A * (1.0 + FREQ * np.sin(A) ** 2))
 
 
-def zhou3_grad_np(X: np.ndarray) -> np.ndarray:
+def zhou3_grad(X: np.ndarray) -> np.ndarray:
     g = np.zeros_like(X)
     v = X[:, 0] + 1.0
     vv = v * v
@@ -125,12 +125,12 @@ def zhou3_grad_np(X: np.ndarray) -> np.ndarray:
 
 
 VALUE = {
-    "zhou1": zhou1_value_np,
-    "zhou2": zhou2_value_np,
-    "zhou3": zhou3_value_np,
+    "zhou1": zhou1_value,
+    "zhou2": zhou2_value,
+    "zhou3": zhou3_value,
 }
 GRAD = {
-    "zhou1": zhou1_grad_np,
-    "zhou2": zhou2_grad_np,
-    "zhou3": zhou3_grad_np,
+    "zhou1": zhou1_grad,
+    "zhou2": zhou2_grad,
+    "zhou3": zhou3_grad,
 }

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .core import as_integer, as_real
+from .core import as_choice, as_integer, as_points, as_real, as_sequence
 
 __all__ = [
     "PAIRINGS",
@@ -97,13 +97,11 @@ def simulate(
     not a finite float64.
     """
     alpha = as_real("alpha", alpha)
-    if pairing not in PAIRINGS:
-        raise ValueError(f"unknown pairing {pairing!r}; expected one of {PAIRINGS}")
-    stagnant = {as_integer("every stagnant_set entry", i) for i in stagnant_set}
+    as_choice("pairing", pairing, PAIRINGS)
+    indices = as_sequence("stagnant_set", stagnant_set, "indices")
+    stagnant = {as_integer("every stagnant_set entry", i) for i in indices}
     steps = as_integer("steps", steps, 1)
-    X = np.array(init, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("init must be an (N, dim) array of points")
+    X = as_points(init)
     n, dim = X.shape
     if n < 2:
         raise ValueError("need at least 2 individuals")
@@ -112,8 +110,6 @@ def simulate(
         raise ValueError(f"stagnant_set indices must lie in [0, {n})")
     if len(stagnant) >= n:
         raise ValueError("at least one individual must be mobile")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("point coordinates must be finite")
     frozen = np.isin(np.arange(n), list(stagnant))
     trajectory = np.empty((steps + 1,) + X.shape, dtype=np.float64)
     trajectory[0] = X

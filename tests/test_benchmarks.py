@@ -124,6 +124,20 @@ class TestEvaluators:
                 assert np.array_equal(
                     grads[i], benchmarks.gradient_batch(name, X[i:i + 1])[0])
 
+    def test_any_memory_layout_gives_the_same_bits(self):
+        # A batch is evaluated as given, without a copy into C order.
+        gen = np.random.Generator(np.random.PCG64(2))
+        X = gen.uniform(-2.0, 2.0, size=(9, 5))
+        layouts = (
+            np.asfortranarray(X),
+            np.repeat(X, 2, axis=0)[::2],
+            np.repeat(X, 2, axis=1)[:, ::2],
+        )
+        for name in benchmarks.FUNCTIONS:
+            for fn in (benchmarks.value_batch, benchmarks.gradient_batch):
+                want = fn(name, X).tobytes()
+                assert all(fn(name, Y).tobytes() == want for Y in layouts)
+
     def test_values_nonnegative(self):
         gen = np.random.Generator(np.random.PCG64(1))
         X = gen.uniform(-100.0, 100.0, size=(64, 3))

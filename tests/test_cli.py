@@ -385,8 +385,8 @@ class TestNominalCommand:
             (["--dim", "0"], "dim must be >= 1"),
             (["--stagnant", "0,1"], "at least one individual must be mobile"),
             (["--stagnant", "2"], "stagnant_set indices must lie in [0, 2)"),
-            (["--n", "-1"], "negative dimensions are not allowed"),
-            (["--dim", "-2"], "negative dimensions are not allowed"),
+            (["--n", "-1"], "need at least 2 individuals"),
+            (["--dim", "-2"], "dim must be >= 1"),
         ),
     )
     def test_bad_population_fails_in_one_line(self, capsys, flags, message):
@@ -446,6 +446,11 @@ class TestNominalCommand:
 
 
 class TestBenchCommand:
+    def test_help_lists_the_functions(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "zhou1 | zhou2 | zhou3" in capsys.readouterr().out
+
     def test_certificate_point(self, capsys):
         code = main(["bench", "zhou1", "--point", "1,2,8"])
         assert code == 0
@@ -693,6 +698,14 @@ class TestRunAndExperimentCommands:
 
 
 class TestVerifyCommand:
+    def test_a_bug_is_not_reported_as_a_usage_error(self, monkeypatch):
+        def broken():
+            raise KeyError("x")
+
+        monkeypatch.setattr(verify, "run_checks", broken)
+        with pytest.raises(KeyError):
+            main(["verify"])
+
     def test_all_checks_pass(self, capsys):
         code = main(["verify"])
         out = capsys.readouterr().out

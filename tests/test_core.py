@@ -12,9 +12,12 @@ from stagbench.core import (
     BestTracker,
     Bounds,
     ObjectiveSpec,
+    as_choice,
     as_integer,
     as_point,
+    as_points,
     as_real,
+    as_sequence,
     derive_stream,
     euclidean_norm,
 )
@@ -65,6 +68,75 @@ class TestAsReal:
         for value in (0, -3, np.float32(0.5), np.int64(7), 1.7976931348623157e308):
             out = as_real("y", value)
             assert type(out) is float and out == float(value)
+
+
+class TestAsChoice:
+    def test_a_choice_passes(self):
+        assert as_choice("fruit", "pear", ("apple", "pear")) is None
+
+    @pytest.mark.parametrize("value", ("kiwi", "", 1, None))
+    def test_anything_else_names_the_kind_and_the_choices(self, value):
+        with pytest.raises(ValueError) as exc:
+            as_choice("fruit", value, ("apple", "pear"))
+        assert str(exc.value) == (
+            f"unknown fruit {value!r}; expected one of ('apple', 'pear')"
+        )
+
+
+class TestAsSequence:
+    @pytest.mark.parametrize(
+        "value, entries",
+        (
+            (["a", "b"], ("a", "b")),
+            (("a",), ("a",)),
+            ((), ()),
+            (range(3), (0, 1, 2)),
+            (np.array([4, 5]), (4, 5)),
+            ((x for x in "ab"), ("a", "b")),
+        ),
+        ids=("list", "tuple", "empty", "range", "ndarray", "generator"),
+    )
+    def test_iterables_become_tuples(self, value, entries):
+        out = as_sequence("x", value, "things")
+        assert type(out) is tuple and out == entries
+
+    @pytest.mark.parametrize(
+        "value",
+        ("ab", "", b"ab", bytearray(b"ab"), 5, None, np.int64(5), np.array(5)),
+        ids=("str", "empty-str", "bytes", "bytearray", "int", "None", "numpy-int",
+             "0-d-array"),
+    )
+    def test_text_and_non_iterables_rejected_naming_the_field(self, value):
+        with pytest.raises(ValueError) as exc:
+            as_sequence("x", value, "things")
+        assert str(exc.value) == f"x must be a sequence of things, got {value!r}"
+
+
+class TestAsPoints:
+    def test_float64_batch_is_returned_without_a_copy(self):
+        X = np.zeros((4, 3))
+        assert as_points(X) is X
+        columns = np.zeros((3, 4)).T
+        assert as_points(columns) is columns
+
+    def test_nested_lists_become_a_float64_batch(self):
+        X = as_points([[1, 2], [3, 4]])
+        assert X.dtype == np.float64 and X.shape == (2, 2)
+
+    @pytest.mark.parametrize("shape", ((3,), (), (2, 2, 2)))
+    def test_rejects_anything_but_two_dimensions(self, shape):
+        with pytest.raises(ValueError) as exc:
+            as_points(np.zeros(shape))
+        assert str(exc.value) == f"expected a 2-D batch of points, got shape {shape}"
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rejects_non_finite_coordinates(self, bad):
+        with pytest.raises(ValueError, match="^batch contains non-finite coordinates$"):
+            as_points([[0.0, 1.0], [bad, 2.0]])
+
+    def test_empty_batches_pass(self):
+        assert as_points(np.zeros((0, 3))).shape == (0, 3)
+        assert as_points(np.zeros((2, 0))).shape == (2, 0)
 
 
 class TestAsPoint:
@@ -212,6 +284,11 @@ class TestRngStreams:
     def test_bare_string_label_path_rejected(self, labels):
         # Iterated, "ab" would address the path ["a", "b"].
         with pytest.raises(ValueError, match="^labels must be a sequence"):
+            derive_stream(1, labels)
+
+    @pytest.mark.parametrize("labels", (5, None), ids=("int", "None"))
+    def test_non_iterable_label_path_rejected(self, labels):
+        with pytest.raises(ValueError, match="^labels must be a sequence of labels, got "):
             derive_stream(1, labels)
 
     def test_string_and_int_labels_distinct(self):

@@ -1,5 +1,6 @@
 """Every name a module exports resolves, so a deletion leaves no dead export,
-and the package's top level exports only what README's library example uses."""
+the package's top level exports only what README's library example uses, and
+each input rule's message is stated in `stagbench.core` alone."""
 
 from __future__ import annotations
 
@@ -37,3 +38,28 @@ def test_top_level_exports_only_what_the_readme_example_calls():
     example = re.search(r"## Library use\n+```python\n(.*?)```", readme, re.S)
     called = set(re.findall(r"\bsb\.(\w+)", example.group(1)))
     assert set(stagbench.__all__) - {"__version__"} == called
+
+
+# The message text of each input rule in `stagbench.core`.
+RULE_TEXTS = (
+    "expected one of",
+    "must be a sequence of",
+    "2-D batch of points",
+    "non-finite coordinates",
+    "coordinates must be finite",
+    "must be >= ",
+    "must be finite, got",
+    "must be an integer",
+    "must be a real number",
+)
+
+
+@pytest.mark.parametrize("text", RULE_TEXTS)
+def test_each_input_rule_is_stated_in_core_alone(text):
+    package = Path(stagbench.__file__).resolve().parent
+    stating = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if text in path.read_text("utf-8")
+    )
+    assert stating == ["core.py"]

@@ -109,6 +109,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{named} must be "):
             ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        (
+            ("T_values", b"d", "integers"),
+            ("T_values", bytearray(b"d"), "integers"),
+            ("functions", b"zhou1", "names"),
+            ("algorithms", b"gwo", "names"),
+        ),
+    )
+    def test_bytes_are_not_a_sequence(self, field, value, kind):
+        # Iterated, b"d" would be the grid T = (100,).
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**{field: value})
+        assert str(exc.value) == f"{field} must be a sequence of {kind}, got {value!r}"
+
     def test_numpy_integers_accepted(self):
         cfg = _small_cfg(
             runs=np.int64(2), T_values=(np.int64(50),), base_seed=np.int32(7),

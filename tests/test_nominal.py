@@ -311,7 +311,26 @@ class TestConfigValidation:
             _simulate(0.5, np.zeros((1, 2)), 5)
         with pytest.raises(ValueError, match="dim must be >= 1"):
             _simulate(0.5, np.zeros((2, 0)), 5)
-        with pytest.raises(ValueError, match=r"\(N, dim\) array"):
+        with pytest.raises(
+            ValueError, match=r"^expected a 2-D batch of points, got shape \(3,\)$"
+        ):
             _simulate(0.5, np.zeros(3), 5)
         traj, _ = _simulate(0.5, np.zeros((3, 4)), 2)
         assert traj.shape == (3, 3, 4)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_init_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^batch contains non-finite coordinates$"):
+            _simulate(0.5, [[0.0], [bad]], 5)
+
+    @pytest.mark.parametrize("stagnant_set", (1, None, "01"), ids=("int", "None", "str"))
+    def test_stagnant_set_must_be_a_sequence(self, stagnant_set):
+        with pytest.raises(
+            ValueError, match="^stagnant_set must be a sequence of indices, got "
+        ):
+            _simulate(0.5, [[0.0], [1.0], [2.0]], 5, stagnant=stagnant_set)
+
+    def test_init_is_not_written_into(self):
+        init = np.array([[0.0], [4.0]])
+        _simulate(0.5, init, 3, stagnant=(1,))
+        assert init.tolist() == [[0.0], [4.0]]
