@@ -33,15 +33,15 @@ def pop_size(dim: int) -> int:
     return POP_SIZE
 
 
-def _pc_vector(n: int) -> np.ndarray:
-    i = np.arange(n, dtype=np.float64)
-    return 0.05 + 0.45 * (np.expm1(10.0 * i / (n - 1))) / np.expm1(10.0)
+# Learning probability Pc of each particle, ramping from 0.05 to 0.5.
+PC = 0.05 + 0.45 * np.expm1(10.0 * np.arange(POP_SIZE) / (POP_SIZE - 1)) / np.expm1(10.0)
+PC.flags.writeable = False
 
 
-def _assign_exemplar(exemplar, i, n, dim, pc_i, pbest_vals, gen):
+def _assign_exemplar(exemplar, i, n, dim, pbest_vals, gen):
     """Write particle `i`'s exemplar index per dimension into `exemplar`."""
     exemplar[:] = i
-    learn = gen.random(dim) < pc_i
+    learn = gen.random(dim) < PC[i]
     k = np.count_nonzero(learn)
     if k:
         # k scalar draws return the same numbers, and leave the generator in
@@ -62,18 +62,16 @@ def _assign_exemplar(exemplar, i, n, dim, pc_i, pbest_vals, gen):
 
 def init_memory(state: AlgoState) -> dict:
     n, dim = state.population.shape
-    pc = _pc_vector(n)
     memory = {
         "velocity": np.zeros((n, dim)),
         "pbest": state.population.copy(),
         "pbest_vals": state.values.copy(),
         "flags": np.zeros(n, dtype=np.int64),
         "exemplar": np.empty((n, dim), dtype=np.int64),
-        "pc": pc,
     }
     for i in range(n):
         _assign_exemplar(
-            memory["exemplar"][i], i, n, dim, pc[i], memory["pbest_vals"], state.gen_rng
+            memory["exemplar"][i], i, n, dim, memory["pbest_vals"], state.gen_rng
         )
     return memory
 
@@ -90,7 +88,7 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     exemplar, pbest, pbest_vals = mem["exemplar"], mem["pbest"], mem["pbest_vals"]
     stale = (mem["flags"] >= REFRESHING_GAP).nonzero()[0]
     for i in stale.tolist():
-        _assign_exemplar(exemplar[i], i, n, dim, mem["pc"][i], pbest_vals, gen)
+        _assign_exemplar(exemplar[i], i, n, dim, pbest_vals, gen)
     mem["flags"][stale] = 0
 
     target = pbest[exemplar, np.arange(dim)]

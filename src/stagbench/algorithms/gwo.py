@@ -2,11 +2,11 @@
 
 Three leaders (alpha, beta, delta) are the best, second- and third-best
 solutions encountered so far, updated by the classic if/elif cascade (a new
-alpha overwrites the old one without demoting it).  Every wolf moves to the
-average of three leader-encircling points with per-dimension coefficients
-``A = 2*a*r1 - a`` and ``C = 2*r2``, where ``a`` decays linearly from 2 to 0
-over the schedule horizon.  Positions are replaced unconditionally; the
-monotone record lives in the tracker and the leaders.
+alpha overwrites the old one without demoting it).  Alpha is the tracker's
+best-so-far.  Every wolf moves to the average of three leader-encircling
+points with per-dimension coefficients ``A = 2*a*r1 - a`` and ``C = 2*r2``,
+where ``a`` decays linearly from 2 to 0 over the schedule horizon.  Moved
+wolves replace the population; the tracker keeps the monotone record.
 """
 
 from __future__ import annotations
@@ -23,22 +23,19 @@ def pop_size(dim: int) -> int:
 
 
 def init_memory(state: AlgoState) -> dict:
-    memory = {
-        "alpha": (None, np.inf),
-        "beta": (None, np.inf),
-        "delta": (None, np.inf),
-    }
-    _update_leaders(memory, state.population, state.values)
+    memory = {"beta": (None, np.inf), "delta": (None, np.inf)}
+    _update_leaders(memory, np.inf, state.population, state.values)
     return memory
 
 
-def _update_leaders(memory: dict, X: np.ndarray, vals: np.ndarray) -> None:
+def _update_leaders(memory: dict, alpha: float, X: np.ndarray, vals: np.ndarray) -> None:
+    # `alpha` is the incoming best value; the tracker keeps the alpha point.
     # Leader values only decrease and alpha <= beta <= delta holds, so a row
     # not below the incoming delta cannot change any leader.
     for i in (vals < memory["delta"][1]).nonzero()[0]:
         v = float(vals[i])
-        if v < memory["alpha"][1]:
-            memory["alpha"] = (X[i].copy(), v)
+        if v < alpha:
+            alpha = v
         elif v < memory["beta"][1]:
             memory["beta"] = (X[i].copy(), v)
         elif v < memory["delta"][1]:
@@ -52,9 +49,10 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     a = 2.0 * (1.0 - schedule_fraction(state.generation, state.schedule_horizon))
 
     r = gen.random((3, 2, n, dim))
-    leaders = [state.memory[k][0] for k in ("alpha", "beta", "delta")]
-    best = state.tracker.best_point
-    P = np.array([best if p is None else p for p in leaders])[:, None, :]
+    # Read before `evaluate` folds the new rows into the tracker.
+    alpha, alpha_value = state.tracker.best_point, state.tracker.best_value
+    leaders = [alpha] + [state.memory[k][0] for k in ("beta", "delta")]
+    P = np.array([alpha if p is None else p for p in leaders])[:, None, :]
     # The three leader pulls as one (3, n, dim) array, added onto zeros in
     # leader order so the sum (signed zeros included) matches a running total.
     pulls = P - (2.0 * a * r[:, 0] - a) * np.abs(2.0 * r[:, 1] * P - X)
@@ -65,5 +63,5 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     moved /= 3.0
 
     moved, vals = evaluate(state, moved)
-    _update_leaders(state.memory, moved, vals)
+    _update_leaders(state.memory, alpha_value, moved, vals)
     return moved, vals

@@ -48,7 +48,6 @@ def init_memory(state: AlgoState) -> dict:
         "m_cr": np.full(MEMORY_SIZE, 0.5),
         "k": 0,
         "archive": np.empty((0, state.objective.dim)),
-        "pop_init": state.population.shape[0],
     }
 
 
@@ -58,13 +57,12 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     n, dim = X.shape
     gen = state.gen_rng
     mem = state.memory
-    h = mem["m_f"].size
     archive = mem["archive"]
 
     order = vals.argsort(kind="stable")
     p_num = max(2, _round_half_up(P_BEST_FRACTION * n))
 
-    r_mem = gen.integers(0, h, size=n)
+    r_mem = gen.integers(0, MEMORY_SIZE, size=n)
     m_cr = mem["m_cr"][r_mem]
     cr = (m_cr + 0.1 * gen.standard_normal(n)).clip(0.0, 1.0)
     cr[np.isnan(m_cr)] = 0.0
@@ -122,14 +120,15 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
             mem["m_cr"][k] = np.nan
         else:
             mem["m_cr"][k] = (wn * s_cr**2).sum() / (wn * s_cr).sum()
-        mem["k"] = (k + 1) % h
+        mem["k"] = (k + 1) % MEMORY_SIZE
 
         archive = np.concatenate([archive, X[win]], axis=0)
         X = np.where(win[:, None], trial, X)
         vals = np.where(win, tvals, vals)
 
     frac = schedule_fraction(state.generation + 1, state.schedule_horizon)
-    n_next = _round_half_up(mem["pop_init"] + (POP_MIN - mem["pop_init"]) * frac)
+    n_init = pop_size(dim)
+    n_next = _round_half_up(n_init + (POP_MIN - n_init) * frac)
     if n_next < n:
         keep = np.sort(vals.argsort(kind="stable")[:n_next])
         X = X[keep]

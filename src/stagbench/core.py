@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,9 +76,17 @@ def as_sequence(field: str, value, kind: str) -> tuple:
     return tuple(value)
 
 
+def _as_float64(x, rule: str) -> np.ndarray:
+    """`x` as float64; input numpy cannot convert raises ValueError with `rule`."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{rule}, got {reprlib.repr(x)}") from None
+
+
 def as_points(X) -> np.ndarray:
     """`X` as a finite float64 (n, dim) batch, not copied if it is one."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _as_float64(X, "expected a 2-D batch of points")
     if X.ndim != 2:
         raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
     if not np.isfinite(X).all():
@@ -91,11 +100,11 @@ def as_point(x, dim: Optional[int] = None) -> np.ndarray:
     Parameters
     ----------
     x : array_like
-        Candidate coordinates.
+        Candidate coordinates; ragged or non-numeric ones raise ValueError.
     dim : int, optional
         Required dimension; mismatch raises ValueError.
     """
-    p = np.asarray(x, dtype=np.float64)
+    p = _as_float64(x, "a point must be a 1-D vector of numbers")
     if p.ndim != 1 or p.size < 1:
         raise ValueError("a point must be a 1-D vector with at least one coordinate")
     if not np.all(np.isfinite(p)):

@@ -84,7 +84,7 @@ class TestParamSet:
             obj = objective("zhou2", Bounds(-100.0, 100.0, dim))
             state = _fresh_state("lshade", obj)
             assert state.population.shape == (size, dim)
-            assert state.memory["pop_init"] == size
+            assert lshade.pop_size(dim) == size
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="^unknown algorithm 'cmaes'"):
@@ -317,8 +317,8 @@ class TestLshadeSpecifics:
         if table:
             obj = _table_objective(obj)
         state = algos.init("lshade", obj, _stream("lshade"), horizon)
-        pop_init = state.memory["pop_init"]
-        assert state.population.shape[0] == pop_init
+        n_init = lshade.pop_size(3)
+        assert state.population.shape[0] == n_init
         trial_vals = []
         evaluate = lshade.evaluate
 
@@ -334,7 +334,7 @@ class TestLshadeSpecifics:
             state = algos.step(state)
             won = trial_vals[-1] < parent_vals
             frac = algos.schedule_fraction(g, horizon)
-            n = lshade._round_half_up(pop_init + (lshade.POP_MIN - pop_init) * frac)
+            n = lshade._round_half_up(n_init + (lshade.POP_MIN - n_init) * frac)
             assert state.population.shape[0] == n
             assert state.memory["k"] == (k + won.any()) % lshade.MEMORY_SIZE
             wins += won.any()
@@ -350,6 +350,59 @@ class TestLshadeSpecifics:
             state = algos.step(state)
             cap = max(1, int(np.floor(lshade.ARCHIVE_RATE * state.population.shape[0] + 0.5)))
             assert state.memory["archive"].shape[0] <= cap
+
+
+@pytest.mark.parametrize(
+    "algorithm, keys",
+    (
+        ("gwo", {"beta", "delta"}),
+        ("lshade", {"m_f", "m_cr", "k", "archive"}),
+        ("clpso", {"velocity", "pbest", "pbest_vals", "flags", "exemplar"}),
+    ),
+)
+def test_memory_holds_only_what_a_run_changes(algorithm, keys):
+    assert set(_fresh_state(algorithm).memory) == keys
+
+
+def _reference_leaders(leaders: dict, X: np.ndarray, vals: np.ndarray) -> None:
+    """GWO's three-slot if/elif cascade with alpha kept as (point, value)
+    beside beta and delta, offered every row in row order."""
+    for x, v in zip(X, vals.tolist()):
+        if v < leaders["alpha"][1]:
+            leaders["alpha"] = (x.copy(), v)
+        elif v < leaders["beta"][1]:
+            leaders["beta"] = (x.copy(), v)
+        elif v < leaders["delta"][1]:
+            leaders["delta"] = (x.copy(), v)
+
+
+def _leader_bits(leader):
+    point, value = leader
+    bits = None if point is None else point.view(np.uint64).tolist()
+    return bits, np.float64(value).view(np.uint64)
+
+
+class TestGwoLeaders:
+    @pytest.mark.parametrize(
+        "name, dim, table",
+        (("zhou1", 3, False), ("zhou3", 10, False), ("zhou1", 3, True)),
+        ids=("zhou1-d3", "zhou3-d10", "table-d3"),
+    )
+    def test_alpha_is_the_trackers_best_at_every_generation(self, name, dim, table):
+        obj = objective(name, Bounds(-100.0, 100.0, dim))
+        if table:
+            obj = _table_objective(obj)
+        state = algos.init("gwo", obj, _stream("gwo"), 1000)
+        leaders = {k: (None, np.inf) for k in ("alpha", "beta", "delta")}
+        _reference_leaders(leaders, state.population, state.values)
+        for _ in range(300):
+            # GWO's population is exactly the rows its step evaluated.
+            state = algos.step(state)
+            _reference_leaders(leaders, state.population, state.values)
+            tracker = (state.tracker.best_point, state.tracker.best_value)
+            assert _leader_bits(leaders["alpha"]) == _leader_bits(tracker)
+            for k in ("beta", "delta"):
+                assert _leader_bits(leaders[k]) == _leader_bits(state.memory[k])
 
 
 class TestClpsoSpecifics:

@@ -112,6 +112,15 @@ class TestEvaluators:
         with pytest.raises(ValueError, match="2-D batch"):
             call("zhou1", np.zeros(3))
 
+    @pytest.mark.parametrize("method", ("value_batch", "gradient_batch", "fd_gradient"))
+    @pytest.mark.parametrize(
+        "X", ([[0.0, 1.0, 2.0], [3.0]], [[0.0, "a", 1.0]], {}, object()),
+        ids=("ragged", "non-numeric", "dict", "object"),
+    )
+    def test_unconvertible_batches_raise_value_error(self, method, X):
+        with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+            getattr(benchmarks, method)("zhou1", X)
+
     def test_batch_matches_scalar(self):
         # Each row of a batch gets the bits a one-row batch of it gets.
         gen = np.random.Generator(np.random.PCG64(0))

@@ -22,6 +22,10 @@ from stagbench.core import (
     euclidean_norm,
 )
 
+# Inputs numpy cannot turn into float64: ragged, non-numeric, a mapping and
+# an arbitrary object.
+UNCONVERTIBLE_IDS = ("ragged", "non-numeric", "dict", "object")
+
 
 class TestAsInteger:
     def test_below_minimum_names_the_field(self):
@@ -138,6 +142,13 @@ class TestAsPoints:
         assert as_points(np.zeros((0, 3))).shape == (0, 3)
         assert as_points(np.zeros((2, 0))).shape == (2, 0)
 
+    @pytest.mark.parametrize(
+        "bad", ([[1.0, 2.0], [3.0]], [[0.0, "a"]], {}, object()), ids=UNCONVERTIBLE_IDS
+    )
+    def test_unconvertible_input_names_the_rule(self, bad):
+        with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+            as_points(bad)
+
 
 class TestAsPoint:
     def test_list_becomes_float64_vector(self):
@@ -158,6 +169,13 @@ class TestAsPoint:
             as_point([1.0, np.inf])
         with pytest.raises(ValueError):
             as_point([np.nan])
+
+    @pytest.mark.parametrize(
+        "bad", ([1.0, [2.0]], [0.0, "a"], {}, object()), ids=UNCONVERTIBLE_IDS
+    )
+    def test_unconvertible_input_names_the_rule(self, bad):
+        with pytest.raises(ValueError, match="^a point must be a 1-D vector"):
+            as_point(bad)
 
 
 class TestBounds:

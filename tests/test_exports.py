@@ -47,6 +47,7 @@ RULE_TEXTS = (
     "2-D batch of points",
     "non-finite coordinates",
     "coordinates must be finite",
+    "a point must be a 1-D vector",
     "must be >= ",
     "must be finite, got",
     "must be an integer",

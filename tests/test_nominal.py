@@ -318,6 +318,14 @@ class TestConfigValidation:
         traj, _ = _simulate(0.5, np.zeros((3, 4)), 2)
         assert traj.shape == (3, 3, 4)
 
+    @pytest.mark.parametrize(
+        "init", ([[0.0, 1.0], [2.0]], [[0.0], ["a"]], {}, object()),
+        ids=("ragged", "non-numeric", "dict", "object"),
+    )
+    def test_unconvertible_init_raises_value_error(self, init):
+        with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+            _simulate(0.5, init, 3)
+
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_init_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="^batch contains non-finite coordinates$"):
