@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import benchmarks, harness, nominal, verify
-from .core import as_point, derive_stream, euclidean_norm
+from .core import as_points, derive_stream, euclidean_norm
 from .harness import ExperimentConfig, format_float
 
 __all__ = ["main", "parse_config", "CONFIG_KEYS"]
@@ -269,7 +269,7 @@ def _cmd_bench(args) -> int:
         point = benchmarks.optimum(name, dim, args.optimum)
         if not np.isfinite(point).all():
             raise ValueError(f"the {name} optimum overflows float64 at dim {dim}")
-    X = as_point(point)[None, :]
+    X = as_points([point])
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(benchmarks.value_batch(name, X)[0])
         grad = benchmarks.gradient_batch(name, X)[0]

@@ -27,7 +27,6 @@ __all__ = [
     "BestTracker",
     "as_choice",
     "as_integer",
-    "as_point",
     "as_points",
     "as_real",
     "as_sequence",
@@ -76,42 +75,25 @@ def as_sequence(field: str, value, kind: str) -> tuple:
     return tuple(value)
 
 
-def _as_float64(x, rule: str) -> np.ndarray:
-    """`x` as float64; input numpy cannot convert raises ValueError with `rule`."""
-    try:
-        return np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{rule}, got {reprlib.repr(x)}") from None
-
-
 def as_points(X) -> np.ndarray:
-    """`X` as a finite float64 (n, dim) batch, not copied if it is one."""
-    X = _as_float64(X, "expected a 2-D batch of points")
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D batch of points, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("batch contains non-finite coordinates")
-    return X
+    """`X` as a finite float64 (n, dim) batch, not copied if it is one.
 
-
-def as_point(x, dim: Optional[int] = None) -> np.ndarray:
-    """Validate `x` as a finite 1-D coordinate vector and return it as float64.
-
-    Parameters
-    ----------
-    x : array_like
-        Candidate coordinates; ragged or non-numeric ones raise ValueError.
-    dim : int, optional
-        Required dimension; mismatch raises ValueError.
+    Only what numpy stores as an integer or a float is read: complex, bool,
+    str, bytes, object and ragged input raise ValueError.  A point is read as
+    the one-row batch ``as_points([p])``.
     """
-    p = _as_float64(x, "a point must be a 1-D vector of numbers")
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("a point must be a 1-D vector with at least one coordinate")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
-    if dim is not None and p.size != dim:
-        raise ValueError(f"expected a point of dimension {dim}, got {p.size}")
-    return p
+    try:
+        A = np.asarray(X)
+    except (TypeError, ValueError):
+        A = None
+    if A is None or A.dtype.kind not in "iuf":
+        raise ValueError(f"expected a 2-D batch of points, got {reprlib.repr(X)}")
+    A = A.astype(np.float64, copy=False)
+    if A.ndim != 2:
+        raise ValueError(f"expected a 2-D batch of points, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("batch contains non-finite coordinates")
+    return A
 
 
 def euclidean_norm(v: np.ndarray) -> float:
@@ -186,7 +168,11 @@ class ObjectiveSpec:
         return np.asarray(self.batch_evaluator(X), dtype=np.float64)
 
     def grad(self, p: np.ndarray) -> np.ndarray:
-        X = as_point(p, self.dim)[None, :]
+        X = as_points([p])
+        if X.shape[1] != self.dim:
+            raise ValueError(
+                f"expected a point of dimension {self.dim}, got {X.shape[1]}"
+            )
         return np.asarray(self.batch_gradient(X), dtype=np.float64)[0]
 
 
@@ -243,7 +229,9 @@ class BestTracker:
     def __post_init__(self):
         if not np.isfinite(self.best_value):
             raise ValueError("tracker must be seeded with a finite value")
-        self.best_point = as_point(self.best_point).copy()
+        self.best_point = as_points([self.best_point])[0]
+        if self.best_point.size < 1:
+            raise ValueError("a seed point must have at least one coordinate")
         self.best_value = float(self.best_value)
 
     def fold(self, X: np.ndarray, vals: np.ndarray, gen: int) -> None:

@@ -8,7 +8,7 @@ from conftest import sphere_objective
 
 import stagbench.algorithms as algos
 from stagbench import benchmarks
-from stagbench.algorithms import clpso, gl25, gwo, hho, lshade
+from stagbench.algorithms import clpso, gl25, gwo, hho, lshade, woa
 from stagbench.benchmarks import objective
 from stagbench.core import BestTracker, Bounds, ObjectiveSpec, derive_stream
 
@@ -420,3 +420,89 @@ class TestClpsoSpecifics:
         for _ in range(40):
             state = algos.step(state)
             assert np.all(state.memory["pbest_vals"] <= state.values + 1e-15)
+
+
+# A point away from the origin whose moves, from it and from 2P, stay inside
+# the box: no pull reaches past 3|2P| < 100, so clamping cannot break the
+# scaling the collapse tests compare.
+_P = np.array([3.5, -7.25, 1.0])
+
+
+def _collapsed_step(algorithm: str, point: np.ndarray) -> np.ndarray:
+    """The population after one `algorithms.step` from every row, the
+    tracker's best and every leader or personal best at `point` (zero
+    velocity, empty archive), drawn from a fresh copy of one stream."""
+    obj = objective("zhou1", Bounds(-100.0, 100.0, point.size))
+    state = algos.init(algorithm, obj, _stream(algorithm), 1000)
+    n = state.population.shape[0]
+    value = float(obj.value_batch(point[None, :])[0])
+    state.population, state.values = np.tile(point, (n, 1)), np.full(n, value)
+    state.tracker = BestTracker(point, value)
+    if algorithm == "gwo":
+        state.memory["beta"] = state.memory["delta"] = (point.copy(), value)
+    if algorithm == "clpso":
+        state.memory.update(velocity=np.zeros((n, point.size)),
+                            pbest=state.population.copy(),
+                            pbest_vals=state.values.copy())
+    state.gen_rng = _collapse_stream()
+    return algos.step(state).population
+
+
+def _collapse_stream():
+    return derive_stream(11, ["collapse"])
+
+
+class TestCollapsePoints:
+    """Where a collapsed population can rest (FIDELITY.md, "Collapse
+    points"): one step from a population, tracker and leaders all at P."""
+
+    @pytest.mark.parametrize("algorithm", ("gl25", "clpso", "lshade"))
+    def test_difference_moves_leave_a_collapsed_population_at_p(self, algorithm):
+        # Every move is built from differences of members, which are zero.
+        moved = _collapsed_step(algorithm, _P)
+        assert moved.shape[0] > 0 and (moved == _P).all()
+
+    def test_gwo_pulls_scale_with_p_and_rest_only_at_the_origin(self):
+        # P - A*|2*r1 - 1|*|P| per coordinate: off P for every wolf unless
+        # P = 0 (a > 0 at generation 0).
+        at_p, at_2p = _collapsed_step("gwo", _P), _collapsed_step("gwo", 2.0 * _P)
+        assert np.array_equal(at_2p, 2.0 * at_p)
+        assert (at_p != _P).any(axis=1).all()
+        assert (_collapsed_step("gwo", np.zeros(3)) == 0.0).all()
+
+    def test_woa_spiral_rests_at_p_and_the_other_moves_scale(self):
+        n = woa.POP_SIZE
+        spiral = _collapse_stream().random((4, n))[2] >= 0.5
+        assert spiral.any() and not spiral.all()
+        at_p, at_2p = _collapsed_step("woa", _P), _collapsed_step("woa", 2.0 * _P)
+        assert np.array_equal(at_2p, 2.0 * at_p)
+        assert (at_p[spiral] == _P).all()
+        assert (at_p[~spiral] != _P).any(axis=1).all()
+        assert (_collapsed_step("woa", np.zeros(3)) == 0.0).all()
+
+    def test_hho_besiege_and_perch_rows_scale_with_p(self):
+        # The body's per-generation draw block, read from a copy of the
+        # stream; E1 = 2 at generation 0.
+        n = hho.POP_SIZE
+        g = _collapse_stream()
+        absE = np.abs(2.0 * g.uniform(-1.0, 1.0, size=n))
+        q = g.random(n)
+        g.integers(0, n, size=n)
+        r = g.random((4, n))[2]
+        explore = absE >= 1.0
+        perch = explore & (q < 0.5)
+        soft = ~explore & (r >= 0.5) & (absE >= 0.5)
+        hard = ~explore & (r >= 0.5) & (absE < 0.5)
+        assert perch.any() and soft.any() and hard.any()
+        at_p, at_2p = _collapsed_step("hho", _P), _collapsed_step("hho", 2.0 * _P)
+        # Exempt: the other exploration rows sample the box reflected through
+        # the origin, (rabbit - mean) - r*(lo + r'*(hi - lo)), which does not
+        # scale with P; the rapid-dive rows add a Levy step that does not
+        # either, and keep a dive only when the objective, which differs at
+        # P and 2P, says it improves.
+        rows = perch | soft | hard
+        assert np.array_equal(at_2p[rows], 2.0 * at_p[rows])
+        # The hard besiege rests at the rabbit; the soft besiege, P - P -
+        # E*|J*P - P|, and the perch leave it.
+        assert (at_p[hard] == _P).all()
+        assert (at_p[soft | perch] != _P).any(axis=1).all()

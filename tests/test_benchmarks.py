@@ -114,8 +114,10 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("method", ("value_batch", "gradient_batch", "fd_gradient"))
     @pytest.mark.parametrize(
-        "X", ([[0.0, 1.0, 2.0], [3.0]], [[0.0, "a", 1.0]], {}, object()),
-        ids=("ragged", "non-numeric", "dict", "object"),
+        "X", ([[0.0, 1.0, 2.0], [3.0]], [[0.0, "a", 1.0]], {}, object(),
+              np.array([[1 + 5j, 2.0, 8.0]]), [["1", "2", "8"]], [[True, False, True]]),
+        ids=("ragged", "non-numeric", "dict", "object", "complex", "numeric-str",
+             "bool"),
     )
     def test_unconvertible_batches_raise_value_error(self, method, X):
         with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):

@@ -506,6 +506,16 @@ class TestBenchCommand:
     def test_bad_point_exits_2(self, capsys):
         assert main(["bench", "zhou1", "--point", "1,zebra"]) == 2
 
+    @pytest.mark.parametrize("point, error", (
+        ("inf,2,8", "batch contains non-finite coordinates"),
+        ("1,nan,8", "batch contains non-finite coordinates"),
+        ("", "benchmark functions need dim >= 2"),
+        ("1", "benchmark functions need dim >= 2"),
+    ), ids=("inf", "nan", "empty", "one-coordinate"))
+    def test_point_is_read_by_the_batch_rule(self, capsys, point, error):
+        assert main(["bench", "zhou1", "--point", point]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
     @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
     def test_overflowing_point_fails_in_one_line(self, warning_flags):
         proc = _stagbench(warning_flags, "bench", "zhou1",

@@ -14,7 +14,6 @@ from stagbench.core import (
     ObjectiveSpec,
     as_choice,
     as_integer,
-    as_point,
     as_points,
     as_real,
     as_sequence,
@@ -116,6 +115,15 @@ class TestAsSequence:
         assert str(exc.value) == f"x must be a sequence of things, got {value!r}"
 
 
+# Input numpy converts but the rule refuses: a coordinate is only what numpy
+# stores as an integer or a float.  At numpy's own cast a complex point reads
+# as its real part and a numeric string parses.
+NOT_REAL_POINTS = (np.array([1 + 5j, 2.0, 8.0]), [True, False, True],
+                   ["1.5", "2", "8"], [b"1", b"2", b"8"],
+                   np.array([1.0, 2.0, 8.0], dtype=object))
+NOT_REAL_IDS = ("complex", "bool", "str", "bytes", "object-array")
+
+
 class TestAsPoints:
     def test_float64_batch_is_returned_without_a_copy(self):
         X = np.zeros((4, 3))
@@ -126,6 +134,16 @@ class TestAsPoints:
     def test_nested_lists_become_a_float64_batch(self):
         X = as_points([[1, 2], [3, 4]])
         assert X.dtype == np.float64 and X.shape == (2, 2)
+
+    @pytest.mark.parametrize("dtype", (np.int8, np.uint64, np.float16, np.float32))
+    def test_integer_and_float_arrays_are_read(self, dtype):
+        X = as_points(np.array([[1, 2], [3, 4]], dtype=dtype))
+        assert X.dtype == np.float64 and np.array_equal(X, [[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("point", NOT_REAL_POINTS, ids=NOT_REAL_IDS)
+    def test_rejects_what_numpy_does_not_store_as_a_real_number(self, point):
+        with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+            as_points([point])
 
     @pytest.mark.parametrize("shape", ((3,), (), (2, 2, 2)))
     def test_rejects_anything_but_two_dimensions(self, shape):
@@ -150,32 +168,70 @@ class TestAsPoints:
             as_points(bad)
 
 
+def _identity_spec(dim: int) -> ObjectiveSpec:
+    """An objective whose gradient is the point itself, so `grad` returns the
+    point it read."""
+    return ObjectiveSpec("identity", lambda X: X[:, 0], lambda X: X,
+                         Bounds(-1.0, 1.0, dim))
+
+
+# The readers of a single point, each through the one-row batch
+# ``as_points([p])``: the tracker's seed and the gradient audit.  The third,
+# ``stagbench bench --point``, is held to the same rule in test_cli.py.
+POINT_READERS = (
+    lambda p: BestTracker(p, 1.0).best_point,
+    lambda p: _identity_spec(3).grad(p),
+)
+
+
 class TestAsPoint:
+    """Each reader takes a single point as a one-row batch."""
+
     def test_list_becomes_float64_vector(self):
-        p = as_point([1, 2, 3])
-        assert p.dtype == np.float64
-        assert p.shape == (3,)
+        for read in POINT_READERS:
+            p = read([1, 2, 3])
+            assert p.dtype == np.float64 and p.shape == (3,)
+            assert np.array_equal(p, [1.0, 2.0, 3.0])
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            as_point([1.0, 2.0], dim=3)
+        # The gradient audit fixes the dimension; a tracker takes any.
+        for point in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0]):
+            with pytest.raises(ValueError) as exc:
+                _identity_spec(3).grad(point)
+            assert str(exc.value) == f"expected a point of dimension 3, got {len(point)}"
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            as_point(np.zeros((2, 2)))
+        for read in POINT_READERS:
+            with pytest.raises(ValueError) as exc:
+                read(np.zeros((2, 3)))
+            assert str(exc.value) == "expected a 2-D batch of points, got shape (1, 2, 3)"
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            as_point([1.0, np.inf])
-        with pytest.raises(ValueError):
-            as_point([np.nan])
+        for read in POINT_READERS:
+            for bad in ([1.0, np.inf, 0.0], [np.nan, 0.0, 0.0]):
+                with pytest.raises(ValueError, match="^batch contains non-finite"):
+                    read(bad)
+
+    def test_rejects_empty_point(self):
+        with pytest.raises(ValueError) as exc:
+            BestTracker([], 1.0)
+        assert str(exc.value) == "a seed point must have at least one coordinate"
+        with pytest.raises(ValueError, match="^expected a point of dimension 3, got 0$"):
+            _identity_spec(3).grad(np.zeros(0))
+
+    @pytest.mark.parametrize("point", NOT_REAL_POINTS, ids=NOT_REAL_IDS)
+    def test_rejects_what_numpy_does_not_store_as_a_real_number(self, point):
+        for read in POINT_READERS:
+            with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+                read(point)
 
     @pytest.mark.parametrize(
-        "bad", ([1.0, [2.0]], [0.0, "a"], {}, object()), ids=UNCONVERTIBLE_IDS
+        "bad", ([1.0, [2.0], 3.0], [0.0, "a", 1.0], {}, object()), ids=UNCONVERTIBLE_IDS
     )
     def test_unconvertible_input_names_the_rule(self, bad):
-        with pytest.raises(ValueError, match="^a point must be a 1-D vector"):
-            as_point(bad)
+        for read in POINT_READERS:
+            with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+                read(bad)
 
 
 class TestBounds:

@@ -46,8 +46,8 @@ RULE_TEXTS = (
     "must be a sequence of",
     "2-D batch of points",
     "non-finite coordinates",
-    "coordinates must be finite",
-    "a point must be a 1-D vector",
+    "a point of dimension",
+    "at least one coordinate",
     "must be >= ",
     "must be finite, got",
     "must be an integer",
