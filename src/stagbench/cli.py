@@ -322,14 +322,14 @@ def _cmd_verify(_args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
-    handler = {
-        "nominal": _cmd_nominal,
-        "bench": _cmd_bench,
-        "experiment": _cmd_experiment,
-        "verify": _cmd_verify,
-    }[args.command]
     try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        handler = {
+            "nominal": _cmd_nominal,
+            "bench": _cmd_bench,
+            "experiment": _cmd_experiment,
+            "verify": _cmd_verify,
+        }[args.command]
         return handler(args)
     except (ValueError, MemoryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

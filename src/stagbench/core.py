@@ -148,10 +148,10 @@ class Bounds:
 class ObjectiveSpec:
     """An evaluatable objective with analytic gradient over a box.
 
-    `batch_evaluator` maps an (n, dim) array to (n,) values and
-    `batch_gradient` maps it to (n, dim) gradients; `grad` reads a batch of
-    one.  Evaluators must be deterministic and bounded below on the domain,
-    whose box fixes the dimension.
+    `batch_evaluator` maps an (n, dim) batch to (n,) float64 values and
+    `batch_gradient` to (n, dim) float64 gradients; each reads its own input
+    (`grad` passes its point as a batch of one).  Evaluators must be
+    deterministic and bounded below on the domain, whose box fixes `dim`.
     """
 
     name: str
@@ -164,8 +164,7 @@ class ObjectiveSpec:
         return self.domain.dim
 
     def value_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return np.asarray(self.batch_evaluator(X), dtype=np.float64)
+        return self.batch_evaluator(X)
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         X = as_points([p])
@@ -173,7 +172,7 @@ class ObjectiveSpec:
             raise ValueError(
                 f"expected a point of dimension {self.dim}, got {X.shape[1]}"
             )
-        return np.asarray(self.batch_gradient(X), dtype=np.float64)[0]
+        return self.batch_gradient(X)[0]
 
 
 _U64 = 1 << 64
@@ -227,12 +226,10 @@ class BestTracker:
     improvement_count: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.best_value):
-            raise ValueError("tracker must be seeded with a finite value")
+        self.best_value = as_real("best_value", self.best_value)
         self.best_point = as_points([self.best_point])[0]
         if self.best_point.size < 1:
             raise ValueError("a seed point must have at least one coordinate")
-        self.best_value = float(self.best_value)
 
     def fold(self, X: np.ndarray, vals: np.ndarray, gen: int) -> None:
         """Offer the rows of `X` with their values `vals` in row order.

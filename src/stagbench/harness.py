@@ -23,8 +23,8 @@ count is capped at the usable CPUs and at the number of runs.  Only a grid
 run on more than one worker imports the process-pool stack
 (``multiprocessing`` and what it loads), when its ``multiprocessing.Pool``
 starts; importing this module or running a grid on one worker never loads
-it.  Pool workers ignore Ctrl-C: on an interrupt or a failed run the parent
-terminates them, so no queued run starts, and re-raises.
+it.  Pool workers ignore Ctrl-C, as the parent does while it builds the pool:
+on an interrupt or a failed run it terminates them, and re-raises.
 
 CSV output renders every float with 17 significant digits, which
 round-trips binary64 exactly.
@@ -275,14 +275,6 @@ def _run_task(args):
     return run_single(*args)
 
 
-def _ignore_sigint():
-    # Pool worker initializer: a terminal's Ctrl-C reaches the whole process
-    # group, and the parent alone answers it, by stopping the pool.
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 def check_workers(workers) -> int:
     """`workers` as an int; anything but an integer >= 0 raises ValueError."""
     return as_integer("workers", workers, 0)
@@ -301,7 +293,8 @@ def run_experiment(
     the affinity mask where the platform reports one), any count is capped
     at the usable CPUs and at the number of runs, and a negative one raises
     ValueError.  A pool reads results back in submit order, so results do
-    not depend on worker count.
+    not depend on worker count.  Only the main thread, which alone sets the
+    SIGINT handler that workers begin with, can run a pool.
     """
     workers = check_workers(workers)
     grid = product(cfg.functions, cfg.algorithms, cfg.T_values, range(cfg.runs))
@@ -322,9 +315,18 @@ def run_experiment(
             # block terminates the workers: after Ctrl-C or a failed run, no
             # queued run starts.
             import multiprocessing
+            import signal
 
-            pool = multiprocessing.Pool(workers, initializer=_ignore_sigint)
-            results = stack.enter_context(pool).imap(_run_task, tasks)
+            # A terminal's Ctrl-C reaches the whole process group, and the
+            # parent alone answers it, by stopping the pool.  Workers begin
+            # while SIGINT is ignored, so they keep ignoring it, and the
+            # parent ignores it only until the stack owns the pool.
+            previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+            try:
+                pool = stack.enter_context(multiprocessing.Pool(workers))
+            finally:
+                signal.signal(signal.SIGINT, previous)
+            results = pool.imap(_run_task, tasks)
         for rec in results:
             if progress is not None:
                 progress(rec)

@@ -219,6 +219,17 @@ class TestObjectiveFactory:
         for x, g in zip(X, benchmarks.gradient_batch(name, X)):
             assert np.array_equal(obj.grad(x), g)
 
+    @pytest.mark.parametrize(
+        "X", ([["1", "2", "8"]], [[True, True, False]], np.array([[1 + 5j, 2, 8]])),
+        ids=("numeric-str", "bool", "complex"),
+    )
+    def test_value_batch_leaves_the_batch_to_the_evaluator_rule(self, X):
+        # Cast to float64 before the rule, these read as the points (1, 2, 8),
+        # the optimum, and (1, 1, 0).
+        obj = benchmarks.objective("zhou1", Bounds(-100.0, 100.0, 3))
+        with pytest.raises(ValueError, match="^expected a 2-D batch of points, got "):
+            obj.value_batch(X)
+
     def test_custom_bounds_respected(self):
         bounds = Bounds(-5.0, 5.0, 3)
         obj = benchmarks.objective("zhou2", bounds)

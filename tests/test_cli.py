@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from stagbench import algorithms, benchmarks, harness, nominal, verify
+from stagbench import algorithms, benchmarks, cli, harness, nominal, verify
 from stagbench.cli import (CONFIG_KEYS, _parse_args, main, parse_config,
                            read_config_file)
 from stagbench.core import Bounds, derive_stream
@@ -691,6 +691,18 @@ class TestRunAndExperimentCommands:
 
         monkeypatch.setattr(harness, "run_experiment", interrupted)
         assert main(["experiment", *FAST_CELL, "--out", str(tmp_path)]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+
+    def test_interrupt_while_parsing_exits_130(self, monkeypatch, capsys):
+        def interrupted(argv):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_parse_args", interrupted)
+        try:
+            code = main(["experiment", *FAST_CELL])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
         assert capsys.readouterr().err == "interrupted\n"
 
     def test_unwritable_output_exits_3(self, capsys):

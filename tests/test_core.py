@@ -417,6 +417,14 @@ class TestBestTracker:
         t.fold(np.array([[1.0], [2.0]]), np.array([np.nan, np.inf]), gen=1)
         assert (t.best_value, t.improvement_count) == (1.0, 0)
 
+    @pytest.mark.parametrize("seed", (True, np.bool_(False), "1.0", None, 1 + 0j))
+    def test_seed_value_is_read_by_the_real_rule(self, seed):
+        # At numpy's own checks a bool seed was stored as 1.0 or 0.0, and a
+        # string, None or complex seed raised TypeError.
+        with pytest.raises(ValueError) as exc:
+            BestTracker(np.zeros(2), seed)
+        assert str(exc.value) == f"best_value must be a real number, got {seed!r}"
+
     def test_best_point_read_before_fold_keeps_values(self):
         t = BestTracker(np.array([1.0, 2.0]), 1.0)
         before = t.best_point

@@ -6,6 +6,8 @@ import csv
 import multiprocessing
 import os
 import pickle
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -369,7 +371,7 @@ def pool_widths(monkeypatch):
     widths = []
 
     class InProcessPool:
-        def __init__(self, processes, initializer=None):
+        def __init__(self, processes):
             widths.append(processes)
 
         def __enter__(self):
@@ -496,6 +498,66 @@ class TestRunExperiment:
         records, _ = run_experiment(cfg, workers=10**6)
         assert pool_widths == [2]
         assert len(records) == 2
+
+    @pytest.mark.parametrize("build_fails", (False, True))
+    def test_pool_is_built_with_sigint_ignored(self, build_fails, monkeypatch):
+        """Workers begin while SIGINT is ignored, so they keep ignoring it,
+        and the parent ignores it only while it builds the pool: its own
+        handler is back before the first run is handed out, and after a
+        failed build."""
+        handlers = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                handlers.append(signal.getsignal(signal.SIGINT))
+                if build_fails:
+                    raise OSError("no pool")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, iterable):
+                handlers.append(signal.getsignal(signal.SIGINT))
+                return map(fn, iterable)
+
+        def own(signum, frame):
+            raise KeyboardInterrupt
+
+        _pin_cpus(monkeypatch, {0, 1})
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        previous = signal.signal(signal.SIGINT, own)
+        try:
+            if build_fails:
+                with pytest.raises(OSError, match="^no pool$"):
+                    run_experiment(_small_cfg(runs=2), workers=2)
+            else:
+                run_experiment(_small_cfg(runs=2), workers=2)
+            restored = signal.getsignal(signal.SIGINT)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert restored is own
+        assert handlers == ([signal.SIG_IGN] if build_fails else [signal.SIG_IGN, own])
+
+    def test_pool_outside_the_main_thread_is_refused(self, monkeypatch, pool_widths):
+        # Only the main thread can set the SIGINT handler workers begin with.
+        _pin_cpus(monkeypatch, {0, 1})
+        errors = []
+
+        def run():
+            try:
+                run_experiment(_small_cfg(runs=2), workers=2)
+            except ValueError as exc:
+                errors.append(str(exc))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and "main thread" in errors[0]
+        assert pool_widths == []
 
     @pytest.mark.parametrize("workers", (1.5, True, "2"))
     def test_non_integer_workers_rejected_before_any_run(self, workers, monkeypatch):
