@@ -2,13 +2,14 @@
 
 Each whale draws per-whale scalars r1, r2, p and l every generation.  With
 probability 1/2 it spirals around the best-so-far solution
-(``|best - x| * exp(b*l) * cos(2*pi*l) + best``); otherwise it encircles
-either the best solution (``|A| < 1``) or a randomly chosen whale
-(``|A| >= 1``), with ``A = 2*a*r1 - a`` and ``C = 2*r2``.  ``a`` decays
-linearly 2 -> 0 and the spiral parameter ``l`` is uniform on ``[a2 - 1, 1]``
-with ``a2`` decaying -1 -> -2.  The random reference whale is drawn once per
-whale rather than per dimension (see the fidelity notes).  Positions are
-replaced unconditionally.
+(``|best - x| * exp(b*l) * cos(2*pi*l) + best``); otherwise it moves to
+``ref - A * |C * ref - x|``, where the reference is the best solution
+(encircle, ``|A| < 1``) or a randomly chosen whale (search, ``|A| >= 1``),
+with ``A = 2*a*r1 - a`` and ``C = 2*r2``.  ``a`` decays linearly 2 -> 0
+and the spiral parameter ``l`` is uniform on ``[a2 - 1, 1]`` with ``a2``
+decaying -1 -> -2.  The random reference whale is drawn once per whale
+rather than per dimension (see the fidelity notes).  Positions are replaced
+unconditionally.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
 
     A = (2.0 * a * r1 - a)[:, None]
     C = (2.0 * r2)[:, None]
-    ref = X[ref_idx]
 
-    explore = ref - A * np.abs(C * ref - X)
-    encircle = leader[None, :] - A * np.abs(C * leader[None, :] - X)
+    target = np.where(np.abs(A) < 1.0, leader, X[ref_idx])
+    hunt = target - A * np.abs(C * target - X)
     spiral = (
         np.abs(leader[None, :] - X)
         * np.exp(SPIRAL_B * l)[:, None]
@@ -55,6 +55,5 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
         + leader[None, :]
     )
 
-    hunt = np.where((np.abs(A) < 1.0), encircle, explore)
     moved, vals = evaluate(state, np.where((p < 0.5)[:, None], hunt, spiral))
     return moved, vals

@@ -1,19 +1,20 @@
 """Nominal consensus dynamics: the idealized pairwise optimizer.
 
-The update rule moves an individual a fraction ``alpha`` of the way toward a
-partner: ``x_i' = x_i + alpha * (x_j - x_i)``.  When both partners move
-(``pair_step``) the pair's separation scales by exactly ``1 - 2*alpha`` each
-step, so the pair contracts iff ``0 < alpha < 1``.  When the partner is
-frozen (listed in `simulate`'s ``stagnant_set``) only the other individual
-takes its half of ``pair_step``; the separation then scales by
-``1 - alpha`` and the stability region widens to ``0 < alpha < 2`` — a
-stagnant partner *helps* convergence for ``alpha`` in ``(1, 2)``.
+One update rule moves every individual a fraction ``alpha`` of the way
+toward its partner: ``x_i' = x_i + alpha * (x_partner(i) - x_i)``.  When
+two individuals are each other's partner both move, so the pair's
+separation scales by exactly ``1 - 2*alpha`` each step and the pair
+contracts iff ``0 < alpha < 1``.  When the partner is frozen (listed in
+`simulate`'s ``stagnant_set``) only the other individual moves; the
+separation then scales by ``1 - alpha`` and the stability region widens to
+``0 < alpha < 2`` — a stagnant partner *helps* convergence for ``alpha`` in
+``(1, 2)``.
 
 ``simulate`` runs the N-individual generalization under one of two pairing
 schemes as array code.  The initial ``(N, dim)`` population alone fixes N
 and the dimension, and random pairings are drawn from the numpy Generator
-the caller passes.  Each step is one update of all pairs at once, the
-trajectory is one read-only ``(steps + 1, N, dim)`` array, and the
+the caller passes.  Each step applies the rule to all individuals at once,
+the trajectory is one read-only ``(steps + 1, N, dim)`` array, and the
 population diameter (max pairwise distance) is recorded per step.
 ``step_ratios`` measures the contraction factor of every step of such a
 diameter sequence, and ``predicted_factor`` gives the two-individual theory
@@ -30,7 +31,6 @@ from .core import as_choice, as_integer, as_points, as_real, as_sequence
 
 __all__ = [
     "PAIRINGS",
-    "pair_step",
     "simulate",
     "diameter",
     "step_ratios",
@@ -38,22 +38,6 @@ __all__ = [
 ]
 
 PAIRINGS = ("mutual_random", "ring")
-
-
-def pair_step(xi, xj, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
-    """One mutual update: both individuals move toward each other.
-
-    `xi` and `xj` are two points, or two row blocks of the same shape whose
-    rows are paired.  Both use the same displacement ``alpha * (xj - xi)``,
-    so the pair sum is preserved (to roundoff) and the separation scales by
-    ``1 - 2*alpha``.
-    """
-    xi = np.asarray(xi, dtype=np.float64)
-    xj = np.asarray(xj, dtype=np.float64)
-    if xi.shape != xj.shape:
-        raise ValueError(f"partner shapes differ: {xi.shape} and {xj.shape}")
-    delta = alpha * (xj - xi)
-    return xi + delta, xj - delta
 
 
 def diameter(positions: np.ndarray) -> float:
@@ -87,13 +71,14 @@ def simulate(
 
     Returns the trajectory, a read-only ``(steps + 1, N, dim)`` array
     indexed by step counter, and the diameter sequence aligned with it.
-    Under ``mutual_random`` a uniformly random perfect matching over the
-    *whole* population is drawn each step and all pairs make one
-    `pair_step`; with an odd population the unmatched individual stays put.
-    Under ``ring`` every individual moves toward its successor's previous
-    position simultaneously.  Stagnant individuals never move, so a mobile
-    individual matched to one takes only its own half of `pair_step`.  A
-    divergent run raises ValueError at the first step whose diameter is
+    Each step moves every individual by the module's one rule toward its
+    partner's previous position.  Under ``mutual_random`` the partners come
+    from a uniformly random perfect matching over the *whole* population,
+    drawn each step; with an odd population the unmatched individual is its
+    own partner and stays put.  Under ``ring`` every individual's partner
+    is its successor.  Stagnant individuals never move, so a mobile
+    individual matched to one is the only member of its pair that moves.
+    A divergent run raises ValueError at the first step whose diameter is
     not a finite float64.
     """
     alpha = as_real("alpha", alpha)
@@ -113,16 +98,16 @@ def simulate(
     frozen = np.isin(np.arange(n), list(stagnant))
     trajectory = np.empty((steps + 1,) + X.shape, dtype=np.float64)
     trajectory[0] = X
+    partner = np.roll(np.arange(n), -1)  # the ring's successor index
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             X, new = trajectory[k - 1], trajectory[k]
             if pairing == "mutual_random":
                 order = gen.permutation(n)
                 a, b = order[0:n - 1:2], order[1::2]
-                new[:] = X
-                new[a], new[b] = pair_step(X[a], X[b], alpha)
-            else:
-                new[:] = X + alpha * (np.roll(X, -1, axis=0) - X)
+                partner = np.arange(n)
+                partner[a], partner[b] = b, a
+            new[:] = X + alpha * (X[partner] - X)
             new[frozen] = X[frozen]
         errors = np.array([diameter(P) for P in trajectory])
     bad = np.flatnonzero(~np.isfinite(errors))

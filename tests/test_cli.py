@@ -1010,10 +1010,13 @@ class TestInterrupt:
         terminal's Ctrl-C sends it, 2 s after the imports ends a 2-worker
         run with exit 130, the one line ``interrupted`` on stderr, and no
         process of the run left.  The usable CPU count is pinned to 2 so the
-        run is pooled on any host."""
+        run is pooled on any host.  The child installs Python's own SIGINT
+        handler, as a terminal's foreground job has it, because a test run
+        started in the background (``... &``) passes SIGINT on ignored."""
         script = (
-            "import os, sys\n"
+            "import os, signal, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             "from stagbench.cli import main\n"
             "print('imported', flush=True)\n"
             "sys.exit(main(sys.argv[1:]))\n"

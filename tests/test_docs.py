@@ -1,5 +1,6 @@
 """README names the config keys and the CSV columns that the code defines,
-in the code's order, and its `stagbench` commands parse."""
+in the code's order, and its `stagbench` commands parse; FIDELITY.md's line
+references point at source lines."""
 
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import pytest
 from stagbench.cli import CONFIG_KEYS, _parse_args
 from stagbench.harness import RECORDS_COLUMNS, SUMMARY_COLUMNS
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text("utf-8")
+FIDELITY = (ROOT / "FIDELITY.md").read_text("utf-8")
 
 
 def test_readme_config_block_lists_every_key_in_order():
@@ -46,3 +49,20 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             pytest.fail(f"README command `stagbench {shlex.join(argv)}` does not "
                         f"parse: {capsys.readouterr().err}")
+
+
+def test_fidelity_line_references_name_source_lines():
+    references = list(re.finditer(r"`([\w/]+\.py):(\d+)(?:[-–](\d+))?`", FIDELITY))
+    assert references
+    for ref in references:
+        name, first = ref.group(1), int(ref.group(2))
+        last = int(ref.group(3) or first)
+        paths = list((ROOT / "src" / "stagbench").rglob(name))
+        assert len(paths) == 1, f"{ref.group(0)}: no single {name} under src/stagbench"
+        lines = paths[0].read_text("utf-8").splitlines()
+        assert 1 <= first <= last <= len(lines), (
+            f"{ref.group(0)}: {name} has {len(lines)} lines"
+        )
+        assert all(line.strip() for line in lines[first - 1:last]), (
+            f"{ref.group(0)} names a blank line"
+        )

@@ -11,7 +11,6 @@ from stagbench.core import derive_stream
 from stagbench.nominal import (
     PAIRINGS,
     diameter,
-    pair_step,
     predicted_factor,
     simulate,
     step_ratios,
@@ -54,40 +53,27 @@ def _reference_simulate(alpha, pairing, stagnant, init, steps, gen):
     return trajectory, np.array([diameter(P) for P in trajectory])
 
 
-class TestPairStep:
+class TestTwoIndividualStep:
     def test_symmetric_move_preserves_midpoint(self):
-        xi, xj = np.array([0.0]), np.array([10.0])
-        ni, nj = pair_step(xi, xj, 0.3)
-        assert ni[0] == pytest.approx(3.0)
-        assert nj[0] == pytest.approx(7.0)
-        assert (ni + nj)[0] == pytest.approx((xi + xj)[0])
+        traj, _ = _simulate(0.3, [[0.0], [10.0]], 1)
+        assert traj[1, :, 0] == pytest.approx([3.0, 7.0])
+        assert traj[1].sum() == pytest.approx(traj[0].sum())
 
     def test_alpha_half_collapses_to_midpoint(self):
-        ni, nj = pair_step(np.array([-5.0]), np.array([5.0]), 0.5)
-        assert ni[0] == 0.0 and nj[0] == 0.0
+        traj, _ = _simulate(0.5, [[-5.0], [5.0]], 1)
+        assert traj[1].tolist() == [[0.0], [0.0]]
 
     def test_stagnant_partner_does_not_move(self):
-        # Against a frozen partner only the mover's half of pair_step applies.
-        moved = pair_step(np.array([10.0]), np.array([0.0]), 1.5)[0]
-        assert moved[0] == pytest.approx(-5.0)  # overshoots past the target
+        # Against a frozen partner only the mover takes its step.
         traj, _ = _simulate(1.5, [[10.0], [0.0]], 1, stagnant=(1,))
-        assert np.array_equal(traj[1], [moved, [0.0]])
+        assert traj[1].tolist() == [[-5.0], [0.0]]  # overshoots past the target
 
-    def test_row_blocks_equal_row_by_row_calls(self):
-        gen = np.random.Generator(np.random.PCG64(4))
-        A = gen.uniform(-50.0, 50.0, size=(5, 3))
-        B = gen.uniform(-50.0, 50.0, size=(5, 3))
-        new_a, new_b = pair_step(A, B, 1.3)
-        for i in range(5):
-            ai, bi = pair_step(A[i], B[i], 1.3)
-            assert np.array_equal(new_a[i], ai)
-            assert np.array_equal(new_b[i], bi)
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            pair_step(np.zeros((2, 3)), np.zeros((3, 3)), 0.5)
-        with pytest.raises(ValueError, match="shapes differ"):
-            pair_step(np.zeros(2), np.zeros(3), 0.5)
+    @pytest.mark.parametrize("alpha", (0.3, -0.3))
+    def test_pair_on_negative_zero_keeps_one_sign(self, alpha):
+        # Both members apply the same rule, so equal coordinates stay
+        # bit-identical, down to the sign of a zero.
+        traj, _ = _simulate(alpha, [[-0.0, 1.0], [-0.0, 3.0]], 1)
+        assert traj[1, 0, 0].tobytes() == traj[1, 1, 0].tobytes()
 
 
 class TestDiameter:
