@@ -6,7 +6,8 @@ across the swarm — the personal best of the winner of a random two-particle
 tournament.  If a particle ends up learning every dimension from itself, one
 random dimension is forced to another particle (the comprehensive-learning
 rule).  Exemplars are rebuilt after a particle's personal best has gone
-``REFRESHING_GAP`` (7) consecutive generations without improvement.
+``REFRESHING_GAP`` (7) consecutive generations without improvement; every
+particle starts due, so the first generation builds them all.
 
 Velocity update: ``v = w*v + c*r*(exemplar - x)`` with inertia ``w``
 decaying 0.9 -> 0.4 over the schedule horizon, acceleration ``c = 1.49445``
@@ -62,18 +63,14 @@ def _assign_exemplar(exemplar, i, n, dim, pbest_vals, gen):
 
 def init_memory(state: AlgoState) -> dict:
     n, dim = state.population.shape
-    memory = {
+    return {
         "velocity": np.zeros((n, dim)),
         "pbest": state.population.copy(),
         "pbest_vals": state.values.copy(),
-        "flags": np.zeros(n, dtype=np.int64),
+        "flags": np.full(n, REFRESHING_GAP, dtype=np.int64),
+        # Placeholders until the first step's refresh builds every exemplar.
         "exemplar": np.empty((n, dim), dtype=np.int64),
     }
-    for i in range(n):
-        _assign_exemplar(
-            memory["exemplar"][i], i, n, dim, memory["pbest_vals"], state.gen_rng
-        )
-    return memory
 
 
 def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:

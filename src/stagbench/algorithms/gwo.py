@@ -53,14 +53,8 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     alpha, alpha_value = state.tracker.best_point, state.tracker.best_value
     leaders = [alpha] + [state.memory[k][0] for k in ("beta", "delta")]
     P = np.array([alpha if p is None else p for p in leaders])[:, None, :]
-    # The three leader pulls as one (3, n, dim) array, added onto zeros in
-    # leader order so the sum (signed zeros included) matches a running total.
     pulls = P - (2.0 * a * r[:, 0] - a) * np.abs(2.0 * r[:, 1] * P - X)
-    moved = np.zeros((n, dim))
-    moved += pulls[0]
-    moved += pulls[1]
-    moved += pulls[2]
-    moved /= 3.0
+    moved = pulls.sum(axis=0) / 3.0
 
     moved, vals = evaluate(state, moved)
     _update_leaders(state.memory, alpha_value, moved, vals)

@@ -94,24 +94,17 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     if uncond.any():
         new_X[uncond], new_vals[uncond] = evaluate(state, cand[uncond])
 
-    # Rapid dives: Y always tried, the Levy point Z only where Y fails.
+    # Progressive rapid dives: Y, then the Levy point Z where Y failed.
     idx = (~uncond).nonzero()[0]
-    if idx.size:
-        Y = np.where(soft, rabbit - soft_pull, rabbit - E * np.abs(jr - mean))
-        Yc, yvals = evaluate(state, Y[idx])
-        accept = yvals < vals[idx]
-        new_X[idx[accept]] = Yc[accept]
-        new_vals[idx[accept]] = yvals[accept]
-
-        zidx = idx[~accept]
-        if zidx.size:
-            levy = (
-                LEVY_SCALE * LEVY_SIGMA * levy_u[zidx]
-                / np.abs(levy_v[zidx]) ** (1.0 / LEVY_BETA)
-            )
-            Zc, zvals = evaluate(state, Y[zidx] + dive_rand[zidx] * levy)
-            accept = zvals < vals[zidx]
-            new_X[zidx[accept]] = Zc[accept]
-            new_vals[zidx[accept]] = zvals[accept]
+    Y = np.where(soft, rabbit - soft_pull, rabbit - E * np.abs(jr - mean))
+    levy = LEVY_SCALE * LEVY_SIGMA * levy_u / np.abs(levy_v) ** (1.0 / LEVY_BETA)
+    for dive in (Y, Y + dive_rand * levy):
+        if not idx.size:
+            break
+        Dc, dvals = evaluate(state, dive[idx])
+        accept = dvals < vals[idx]
+        new_X[idx[accept]] = Dc[accept]
+        new_vals[idx[accept]] = dvals[accept]
+        idx = idx[~accept]
 
     return new_X, new_vals

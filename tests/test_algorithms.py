@@ -421,6 +421,87 @@ class TestClpsoSpecifics:
             state = algos.step(state)
             assert np.all(state.memory["pbest_vals"] <= state.values + 1e-15)
 
+    def test_first_step_builds_every_exemplar(self):
+        # `init` draws only the population; every particle starts due for an
+        # exemplar, and the first step's refresh builds them all.
+        obj = objective("zhou2", Bounds(-100.0, 100.0, 3))
+        gen = _stream("clpso")
+        state = algos.init("clpso", obj, gen, 500)
+        fresh = _stream("clpso")
+        fresh.uniform(obj.domain.lo, obj.domain.hi, size=(clpso.POP_SIZE, 3))
+        assert gen.bit_generator.state == fresh.bit_generator.state
+        state = algos.step(state)
+        assert np.isin(state.memory["flags"], (0, 1)).all()
+        own = np.arange(clpso.POP_SIZE)[:, None]
+        assert (state.memory["exemplar"] != own).any(axis=1).all()
+
+
+def _stand_in_objective(evaluator) -> ObjectiveSpec:
+    return ObjectiveSpec(
+        name="stand-in",
+        batch_evaluator=evaluator,
+        batch_gradient=np.zeros_like,
+        domain=Bounds(-100.0, 100.0, 3),
+    )
+
+
+class TestHhoDives:
+    """The progressive rapid dives: Y for every diving hawk, the Levy point
+    Z only for those whose Y failed, each kept only on strict improvement."""
+
+    SEED = 42
+
+    def _step(self, evaluator, monkeypatch):
+        """One step at generation 0 with `hho.evaluate` recorded: the state
+        before and after, the (rows, values) of each call, and the diving
+        hawks read from a copy of the body's draw block."""
+        n = hho.POP_SIZE
+        g = _stream("hho", self.SEED)
+        g.uniform(-100.0, 100.0, size=(n, 3))
+        absE = np.abs(2.0 * g.uniform(-1.0, 1.0, size=n))  # E1 = 2 at g = 0
+        g.random(n)
+        g.integers(0, n, size=n)
+        r = g.random((4, n))[2]
+        dive = (absE < 1.0) & (r < 0.5)
+        assert dive.any() and not dive.all()
+
+        calls = []
+
+        def recorder(state, X):
+            calls.append(algos.evaluate(state, X))
+            return calls[-1]
+
+        monkeypatch.setattr(hho, "evaluate", recorder)
+        state = algos.init("hho", _stand_in_objective(evaluator),
+                           _stream("hho", self.SEED), 1000)
+        X, vals = state.population.copy(), state.values.copy()
+        state = algos.step(state)
+        return X, vals, state, calls, dive
+
+    def test_tied_dives_try_y_then_z_and_keep_the_hawk(self, monkeypatch):
+        X, vals, state, calls, dive = self._step(
+            lambda X: np.zeros(X.shape[0]), monkeypatch)
+        assert [rows.shape[0] for rows, _ in calls] == [
+            (~dive).sum(), dive.sum(), dive.sum()]
+        assert np.array_equal(calls[0][0], state.population[~dive])
+        # Z = Y + a Levy step: the same hawks' rows, moved.
+        assert (calls[2][0] != calls[1][0]).any(axis=1).all()
+        assert np.array_equal(state.population[dive], X[dive])
+        assert np.array_equal(state.values[dive], vals[dive])
+
+    def test_improving_y_is_taken_and_z_is_not_tried(self, monkeypatch):
+        level = [0.0]
+
+        def falling(X):
+            level[0] -= 1.0
+            return np.full(X.shape[0], level[0])
+
+        _, vals, state, calls, dive = self._step(falling, monkeypatch)
+        assert [rows.shape[0] for rows, _ in calls] == [(~dive).sum(), dive.sum()]
+        assert np.array_equal(state.population[dive], calls[1][0])
+        assert (state.values[dive] == calls[1][1]).all()
+        assert (calls[1][1] < vals[dive]).all()
+
 
 # A point away from the origin whose moves, from it and from 2P, stay inside
 # the box: no pull reaches past 3|2P| < 100, so clamping cannot break the

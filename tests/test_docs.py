@@ -1,6 +1,6 @@
 """README names the config keys and the CSV columns that the code defines,
-in the code's order, and its `stagbench` commands parse; FIDELITY.md's line
-references point at source lines."""
+in the code's order, and its `stagbench` commands parse; the line references
+in FIDELITY.md and ROADMAP.md point at source lines."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from stagbench.harness import RECORDS_COLUMNS, SUMMARY_COLUMNS
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text("utf-8")
 FIDELITY = (ROOT / "FIDELITY.md").read_text("utf-8")
+ROADMAP = (ROOT / "ROADMAP.md").read_text("utf-8")
 
 
 def test_readme_config_block_lists_every_key_in_order():
@@ -51,14 +52,19 @@ def test_readme_commands_parse(capsys):
                         f"parse: {capsys.readouterr().err}")
 
 
-def test_fidelity_line_references_name_source_lines():
-    references = list(re.finditer(r"`([\w/]+\.py):(\d+)(?:[-–](\d+))?`", FIDELITY))
+def _check_line_references(text):
+    """Each `<file>.py:N` or `<file>.py:N-M` in `text` names non-blank lines
+    of one file: a bare name under src/stagbench, a path from the repo root."""
+    references = list(re.finditer(r"`([\w/]+\.py):(\d+)(?:[-–](\d+))?`", text))
     assert references
     for ref in references:
         name, first = ref.group(1), int(ref.group(2))
         last = int(ref.group(3) or first)
-        paths = list((ROOT / "src" / "stagbench").rglob(name))
-        assert len(paths) == 1, f"{ref.group(0)}: no single {name} under src/stagbench"
+        if "/" in name:
+            paths = [ROOT / name]
+        else:
+            paths = list((ROOT / "src" / "stagbench").rglob(name))
+        assert len(paths) == 1 and paths[0].is_file(), f"{ref.group(0)}: no single {name}"
         lines = paths[0].read_text("utf-8").splitlines()
         assert 1 <= first <= last <= len(lines), (
             f"{ref.group(0)}: {name} has {len(lines)} lines"
@@ -66,3 +72,11 @@ def test_fidelity_line_references_name_source_lines():
         assert all(line.strip() for line in lines[first - 1:last]), (
             f"{ref.group(0)} names a blank line"
         )
+
+
+def test_fidelity_line_references_name_source_lines():
+    _check_line_references(FIDELITY)
+
+
+def test_roadmap_line_references_name_source_lines():
+    _check_line_references(ROADMAP)
