@@ -98,7 +98,7 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
     cross = gen.random((n, dim)) < cr[:, None]
     cross[idx, jrand] = True
 
-    donors = np.concatenate([X, archive], axis=0) if archive.size else X
+    donors = np.concatenate([X, archive], axis=0)
     mutant = X + f * (X[pbest] - X) + f * (X[r1] - donors[r2])
     trial, tvals = evaluate(state, np.where(cross, mutant, X))
 

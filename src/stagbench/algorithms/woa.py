@@ -55,5 +55,4 @@ def step(state: AlgoState) -> tuple[np.ndarray, np.ndarray]:
         + leader[None, :]
     )
 
-    moved, vals = evaluate(state, np.where((p < 0.5)[:, None], hunt, spiral))
-    return moved, vals
+    return evaluate(state, np.where((p < 0.5)[:, None], hunt, spiral))

@@ -38,7 +38,7 @@ __all__ = [
     "objective",
 ]
 
-FUNCTIONS = ("zhou1", "zhou2", "zhou3")
+FUNCTIONS = tuple(VALUE)
 BRANCHES = ("minus", "plus")
 
 

@@ -76,7 +76,7 @@ _CONFIG_TABLE = {
     "bounds": (("bounds_lo", "bounds_hi"), _pair, "'lo,hi' numbers",
                "--bounds", "lo,hi of the cube [lo, hi]^dim"),
     "base_seed": (("base_seed",), int, "an integer",
-                  "--seed", "base seed (default 42)"),
+                  "--seed", f"base seed (default {ExperimentConfig.base_seed})"),
     "max_generations": (("max_generations",), int, "an integer",
                         "--max-generations", "safety cap on generations per run"),
     "stationarity_threshold": (("stationarity_threshold",), float, "a number",
@@ -164,8 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     p.add_argument("--alpha", type=float, required=True, help="step parameter")
-    p.add_argument("--n", type=int, default=2, help="population size (default 2)")
-    p.add_argument("--dim", type=int, default=1, help="dimension (default 1)")
+    p.add_argument("--n", type=int, default=2, help="population size (default %(default)s)")
+    p.add_argument("--dim", type=int, default=1, help="dimension (default %(default)s)")
     p.add_argument(
         "--pairing",
         choices=nominal.PAIRINGS,
@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const="minus",
         choices=benchmarks.BRANCHES,
-        help="use the closed-form optimum (branch, default minus)",
+        help="use the closed-form optimum (branch, default %(const)s)",
     )
     p.add_argument(
         "--dim", type=int,
@@ -303,8 +303,7 @@ def _cmd_experiment(args) -> int:
     try:
         harness.write_records(records, os.path.join(output_dir, "records.csv"))
         harness.write_summary(summary, os.path.join(output_dir, "summary.csv"))
-        if cfg.capture_curves:
-            harness.write_curves(records, output_dir)
+        harness.write_curves(records, output_dir)
     except OSError as exc:
         print(f"error: failed writing reports: {exc}", file=sys.stderr)
         return 3

@@ -44,6 +44,17 @@ def _fold(head: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
+def _scatter(X: np.ndarray, head: np.ndarray, d_next: np.ndarray,
+             d_prev: np.ndarray) -> np.ndarray:
+    """The gradient: `head` in column 0, then each coupling term's partial in
+    ``x[i+1]`` (`d_next`) added before its partial in ``x[i]`` (`d_prev`)."""
+    g = np.zeros_like(X)
+    g[:, 0] = head
+    g[:, 1:] += d_next
+    g[:, :-1] += d_prev
+    return g
+
+
 @functools.cache
 def _zhou3_coef(dim: int) -> np.ndarray:
     """zhou3's coupling coefficients 2, 4, ..., 2**(dim-1): exact powers of
@@ -62,15 +73,12 @@ def zhou1_value(X: np.ndarray) -> np.ndarray:
 
 
 def zhou1_grad(X: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(X)
     u = X[:, 0] - 1.0
-    g[:, 0] = 2.0 * u + 2.0 * FREQ * u * np.sin(2.0 * FREQ * (u * u))
+    head = 2.0 * u + 2.0 * FREQ * u * np.sin(2.0 * FREQ * (u * u))
     Xi = X[:, :-1]
     R = X[:, 1:] - 2.0 * Xi * Xi
     D = 2.0 * FREQ * R + (FREQ * FREQ) * np.sin(2.0 * FREQ * R)
-    g[:, 1:] += D
-    g[:, :-1] += D * (-4.0 * Xi)
-    return g
+    return _scatter(X, head, D, D * (-4.0 * Xi))
 
 
 def zhou2_value(X: np.ndarray) -> np.ndarray:
@@ -83,15 +91,12 @@ def zhou2_value(X: np.ndarray) -> np.ndarray:
 
 
 def zhou2_grad(X: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(X)
     v = X[:, 0] + 1.0
-    g[:, 0] = 2.0 * v + 2.0 * FREQ * v * np.sin(2.0 * FREQ * (v * v))
+    head = 2.0 * v + 2.0 * FREQ * v * np.sin(2.0 * FREQ * (v * v))
     Xn = X[:, 1:]
     S = Xn * Xn + 2.0 * X[:, :-1]
     D = 2.0 * FREQ * S * (1.0 + FREQ * np.sin(2.0 * FREQ * (S * S)))
-    g[:, 1:] += D * (2.0 * Xn)
-    g[:, :-1] += D * 2.0
-    return g
+    return _scatter(X, head, D * (2.0 * Xn), D * 2.0)
 
 
 def zhou3_value(X: np.ndarray) -> np.ndarray:
@@ -104,10 +109,9 @@ def zhou3_value(X: np.ndarray) -> np.ndarray:
 
 
 def zhou3_grad(X: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(X)
     v = X[:, 0] + 1.0
     vv = v * v
-    g[:, 0] = (
+    head = (
         2.0 * v * (1.0 + np.sin(FREQ * vv) ** 2)
         + 2.0 * FREQ * (vv * v) * np.sin(2.0 * FREQ * vv)
     )
@@ -119,9 +123,7 @@ def zhou3_grad(X: np.ndarray) -> np.ndarray:
         2.0 * FREQ * W * (1.0 + FREQ * np.sin(FREQ * WW) ** 2)
         + 2.0 * (FREQ * FREQ * FREQ) * (WW * W) * np.sin(2.0 * FREQ * WW)
     )
-    g[:, 1:] += D * (2.0 * Xn)
-    g[:, :-1] += D * coef
-    return g
+    return _scatter(X, head, D * (2.0 * Xn), D * coef)
 
 
 VALUE = {

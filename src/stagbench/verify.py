@@ -56,16 +56,23 @@ def _errors(label: str, alpha: float) -> np.ndarray:
     return errors
 
 
+def _measured(label: str, alpha: float) -> Tuple[np.ndarray, float]:
+    """A run's step ratios and their largest deviation from the predicted
+    factor over its finite ratios; theorem 1 judges an inf on its own."""
+    ratios = nominal.step_ratios(_errors(label, alpha))
+    finite = ratios[np.isfinite(ratios)]  # a collapsed pair's 0/0 is NaN
+    factor = nominal.predicted_factor(alpha, stagnant=label == "stagnant")
+    return ratios, float(np.abs(finite - factor).max(initial=0.0))
+
+
 def check_theorem1() -> Verdict:
     """Every step ratio equals |1 - 2a|; a zero separation stays zero."""
     worst = 0.0
     zeros_stay = True
     for alpha in THEOREM1_ALPHAS:
-        ratios = nominal.step_ratios(_errors("mutual", alpha))
+        ratios, deviation = _measured("mutual", alpha)
         zeros_stay = zeros_stay and not np.isinf(ratios).any()
-        finite = ratios[np.isfinite(ratios)]  # a collapsed pair's 0/0 is NaN
-        deviation = np.abs(finite - nominal.predicted_factor(alpha))
-        worst = max(worst, float(deviation.max(initial=0.0)))
+        worst = max(worst, deviation)
     return (
         "theorem1_contraction",
         zeros_stay and worst <= RATIO_TOL,
@@ -79,13 +86,9 @@ def check_remark2() -> Verdict:
     worst = 0.0
     ordered = True
     for alpha in REMARK2_ALPHAS:
-        stag = nominal.step_ratios(_errors("stagnant", alpha))
-        mut = nominal.step_ratios(_errors("mutual", alpha))
-        worst = max(
-            worst,
-            float(np.abs(stag - nominal.predicted_factor(alpha, stagnant=True)).max()),
-            float(np.abs(mut - nominal.predicted_factor(alpha)).max()),
-        )
+        stag, stag_dev = _measured("stagnant", alpha)
+        mut, mut_dev = _measured("mutual", alpha)
+        worst = max(worst, stag_dev, mut_dev)
         ordered = ordered and bool(stag.max() < 1.0 < mut.min())
     return (
         "remark2_witness",

@@ -445,6 +445,38 @@ class TestNominalCommand:
         assert proc.stderr.count("\n") == 1
 
 
+def _help(command: str, capsys) -> str:
+    """`stagbench <command> --help` with each whitespace run read as one
+    space, so a line that argparse wraps still reads as one phrase."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
+def _action(command: str, dest: str):
+    """The argparse action behind `command`'s option `dest`."""
+    parser = cli._build_parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    return next(a for a in commands[command]._actions if a.dest == dest)
+
+
+class TestHelpShowsTheAppliedDefaults:
+    """Each default the help names is the one applied, read from its owner."""
+
+    def test_experiment_seed_reads_the_config_default(self, capsys):
+        text = _help("experiment", capsys)
+        assert f"(default {ExperimentConfig.base_seed})" in text
+
+    def test_nominal_sizes_read_the_parser_defaults(self, capsys):
+        text = _help("nominal", capsys)
+        assert f"population size (default {_action('nominal', 'n').default})" in text
+        assert f"dimension (default {_action('nominal', 'dim').default})" in text
+
+    def test_bench_optimum_reads_its_const(self, capsys):
+        const = _action("bench", "optimum").const
+        assert f"(branch, default {const})" in _help("bench", capsys)
+
+
 class TestBenchCommand:
     def test_help_lists_the_functions(self, capsys):
         with pytest.raises(SystemExit):
@@ -565,6 +597,9 @@ class TestRunAndExperimentCommands:
         assert code == 0
         assert (out_dir / "records.csv").exists()
         assert (out_dir / "summary.csv").exists()
+        # Without --curves no curve file is written.
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "records.csv", "summary.csv"]
         table = capsys.readouterr().out
         assert "mean_grad_norm" in table and "zhou1" in table
 

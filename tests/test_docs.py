@@ -1,6 +1,7 @@
 """README names the config keys and the CSV columns that the code defines,
-in the code's order, and its `stagbench` commands parse; the line references
-in FIDELITY.md and ROADMAP.md point at source lines."""
+in the code's order, its config block shows the code's defaults, and its
+`stagbench` commands parse; the line references in FIDELITY.md and
+ROADMAP.md point at source lines."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from stagbench.cli import CONFIG_KEYS, _parse_args
-from stagbench.harness import RECORDS_COLUMNS, SUMMARY_COLUMNS
+from stagbench.cli import CONFIG_KEYS, _parse_args, parse_config
+from stagbench.harness import RECORDS_COLUMNS, SUMMARY_COLUMNS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text("utf-8")
@@ -19,14 +20,24 @@ FIDELITY = (ROOT / "FIDELITY.md").read_text("utf-8")
 ROADMAP = (ROOT / "ROADMAP.md").read_text("utf-8")
 
 
+def _readme_config_block():
+    return re.search(r"```ini\n(.*?)```", README, re.S).group(1)
+
+
 def test_readme_config_block_lists_every_key_in_order():
-    block = re.search(r"```ini\n(.*?)```", README, re.S).group(1)
+    block = _readme_config_block()
     keys = [
         line.split("=", 1)[0].strip()
         for line in block.splitlines()
         if line.strip() and not line.lstrip().startswith("#")
     ]
     assert tuple(keys) == CONFIG_KEYS
+
+
+def test_readme_config_block_shows_the_defaults(tmp_path):
+    path = tmp_path / "readme.ini"
+    path.write_text(_readme_config_block(), "utf-8")
+    assert parse_config(str(path)) == (ExperimentConfig(), "results", 0)
 
 
 def test_readme_column_lists_match_the_column_tables():

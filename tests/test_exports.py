@@ -1,9 +1,11 @@
 """Every name a module exports resolves, so a deletion leaves no dead export,
-the package's top level exports only what README's library example uses, and
-each input rule's message is stated in `stagbench.core` alone."""
+every module-level import is used or exported, so a deletion leaves no dead
+import, the package's top level exports only what README's library example
+uses, and each input rule's message is stated in `stagbench.core` alone."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -31,6 +33,34 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def _module_level_imports(tree):
+    """The names that `tree`'s imports bind outside any function, skipping
+    ``from __future__``."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_level_import_is_used_or_exported(name):
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(module, "__all__", ()))
+    dead = [bound for bound in _module_level_imports(tree)
+            if bound not in used | exported]
+    assert dead == []
 
 
 def test_top_level_exports_only_what_the_readme_example_calls():
