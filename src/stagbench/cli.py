@@ -50,6 +50,11 @@ def _pair(text) -> tuple:
     return lo, hi
 
 
+# The defaults that no ExperimentConfig field owns: `experiment`'s output
+# directory and `bench --optimum`'s dimension.
+OUTPUT_DIR = "results"
+BENCH_DIM = 3
+
 _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
@@ -62,7 +67,8 @@ def _boolean(text) -> bool:
 
 
 # Config key -> (the fields it sets, its parser, what its value must be,
-# its `experiment` flag, the flag's help).  `workers` and `output_dir` are
+# its `experiment` flag, the flag's help, where `{base_seed}` and
+# `{output_dir}` read those defaults).  `workers` and `output_dir` are
 # returned beside the ExperimentConfig; the rest are its fields.
 _CONFIG_TABLE = {
     "functions": (("functions",), _parse_list, "a comma-separated name list",
@@ -76,7 +82,7 @@ _CONFIG_TABLE = {
     "bounds": (("bounds_lo", "bounds_hi"), _pair, "'lo,hi' numbers",
                "--bounds", "lo,hi of the cube [lo, hi]^dim"),
     "base_seed": (("base_seed",), int, "an integer",
-                  "--seed", f"base seed (default {ExperimentConfig.base_seed})"),
+                  "--seed", "base seed (default {base_seed})"),
     "max_generations": (("max_generations",), int, "an integer",
                         "--max-generations", "safety cap on generations per run"),
     "stationarity_threshold": (("stationarity_threshold",), float, "a number",
@@ -85,7 +91,7 @@ _CONFIG_TABLE = {
                 "worker processes (0 = auto); capped at the usable CPU count "
                 "and at the number of runs"),
     "output_dir": (("output_dir",), str, "a path",
-                   "--out", "output directory (default results)"),
+                   "--out", "output directory (default {output_dir})"),
     "curves": (("capture_curves",), _boolean, "a boolean",
                "--curves", "capture per-generation curves"),
 }
@@ -142,7 +148,7 @@ def parse_config(
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must be {kind}, got {raw[key]!r}") from None
             kwargs.update(zip(targets, value if len(targets) > 1 else (value,)))
-    output_dir = kwargs.pop("output_dir", "results")
+    output_dir = kwargs.pop("output_dir", OUTPUT_DIR)
     workers = harness.check_workers(kwargs.pop("workers", 0))
     return ExperimentConfig(**kwargs), output_dir, workers
 
@@ -194,15 +200,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dim", type=int,
-        help="dimension for --optimum (default 3); with --point, its length",
+        help=f"dimension for --optimum (default {BENCH_DIM}); with --point, its length",
     )
 
     p = sub.add_parser("experiment", help="run the grid, write report files",
                        allow_abbrev=False)
     p.add_argument("--config", help="key = value config file")
+    defaults = {"base_seed": ExperimentConfig.base_seed, "output_dir": OUTPUT_DIR}
     for key, (_, parse, _, flag, help_text) in _CONFIG_TABLE.items():
         action = argparse.BooleanOptionalAction if parse is _boolean else None
-        p.add_argument(flag, dest=key, action=action, help=help_text)
+        p.add_argument(flag, dest=key, action=action, help=help_text.format_map(defaults))
 
     sub.add_parser("verify", help="run the exact-dynamics and gradient checks",
                    allow_abbrev=False)
@@ -265,7 +272,7 @@ def _cmd_bench(args) -> int:
                 f"--dim is {args.dim} but --point has {point.size} coordinates"
             )
     else:
-        dim = 3 if args.dim is None else args.dim
+        dim = BENCH_DIM if args.dim is None else args.dim
         point = benchmarks.optimum(name, dim, args.optimum)
         if not np.isfinite(point).all():
             raise ValueError(f"the {name} optimum overflows float64 at dim {dim}")
@@ -304,10 +311,10 @@ def _cmd_experiment(args) -> int:
         harness.write_records(records, os.path.join(output_dir, "records.csv"))
         harness.write_summary(summary, os.path.join(output_dir, "summary.csv"))
         harness.write_curves(records, output_dir)
+        print(harness.render_summary(os.path.join(output_dir, "summary.csv")))
     except OSError as exc:
         print(f"error: failed writing reports: {exc}", file=sys.stderr)
         return 3
-    print(harness.render_summary_table(summary))
     return 0
 
 

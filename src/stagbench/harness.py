@@ -59,7 +59,7 @@ __all__ = [
     "write_summary",
     "write_curves",
     "curve_filename",
-    "render_summary_table",
+    "render_summary",
     "format_float",
 ]
 
@@ -396,18 +396,15 @@ SUMMARY_COLUMNS = tuple((f.name, f.name) for f in fields(SummaryRow))
 CURVE_HEADER = "run,generation,best_value"
 
 
-def _table(columns, rows) -> Iterator[List[str]]:
-    """The header cells, then the cells of each row: a float through
-    `format_float`, any other value through `str`."""
-    yield [header for header, _ in columns]
-    for row in rows:
-        cells = (getattr(row, attr) for _, attr in columns)
-        yield [format_float(v) if isinstance(v, float) else str(v) for v in cells]
-
-
 def _write_table(path: str, columns, rows) -> None:
+    """Write the header, then each row's cells: a float through
+    `format_float`, any other value through `str`."""
     with open(path, "w", newline="") as fh:
-        fh.writelines(",".join(cells) + "\n" for cells in _table(columns, rows))
+        fh.write(",".join(header for header, _ in columns) + "\n")
+        for row in rows:
+            cells = (getattr(row, attr) for _, attr in columns)
+            fh.write(",".join(format_float(v) if isinstance(v, float) else str(v)
+                              for v in cells) + "\n")
 
 
 def write_records(records: Sequence[RunRecord], path: str) -> None:
@@ -446,13 +443,19 @@ def write_curves(records: Sequence[RunRecord], directory: str) -> List[str]:
     return paths
 
 
-def render_summary_table(rows: Sequence[SummaryRow]) -> str:
-    """Fixed-width text table of the summary for terminal display."""
-    cells = list(_table(SUMMARY_COLUMNS, rows))
-    widths = [max(map(len, column)) for column in zip(*cells)]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+def render_summary(path: str) -> str:
+    """The CSV at `path` (a `summary.csv`) as a Markdown table: each cell
+    exactly as written, right-aligned in columns padded to one width, so it
+    also lines up in a terminal.  A line whose cell count differs from the
+    header's raises ValueError naming path:lineno."""
+    with open(path, newline="") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh]
+    for lineno, row in enumerate(rows, 1):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{lineno}: {len(row)} cells, the header has {len(rows[0])}"
+            )
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * w for w in widths])
+    return "\n".join("| " + " | ".join(map(str.rjust, row, widths)) + " |"
+                     for row in rows)

@@ -16,11 +16,15 @@ check and prints its detail.  Criteria:
 7. Stagnation semantics: last improvement exactly T before termination.
 8. Byte-identical reports across repeated runs and worker counts 1 vs 8.
 9. Sphere smoke test: every algorithm reaches 1e-3 within 500 generations.
+
+Criterion 6's grid also holds the committed ``results/default`` files: its
+records and summary are their T = 100 rows, byte for byte.
 """
 
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +49,8 @@ GRAD_NORM_FLOOR = 1e3        # criterion 6
 STATIONARITY_THRESHOLD = 1e-2  # criterion 6
 SPHERE_TARGET = 1e-3         # criterion 9
 SPHERE_GENERATIONS = 500     # criterion 9
+
+RESULTS = Path(__file__).resolve().parents[1] / "results" / "default"
 
 
 def _check(number: int, ok: bool, detail: str) -> None:
@@ -140,6 +146,24 @@ def test_criterion_6_qualitative_headline(default_grid_t100):
         f"{GRAD_NORM_FLOOR:g}; max stationary_fraction = {max_stationary:.3g} "
         f"(must be < 1 at threshold {STATIONARITY_THRESHOLD:g})",
     )
+
+
+def _header_and_t100_lines(path: Path) -> bytes:
+    header, *lines = path.read_bytes().splitlines(keepends=True)
+    column = header.split(b",").index(b"T")
+    return header + b"".join(line for line in lines
+                             if line.split(b",")[column] == b"100")
+
+
+def test_committed_results_hold_the_t100_grid(default_grid_t100, tmp_path):
+    # Stream labels are (function, algorithm, T, run), so the T = 100 runs
+    # of the full default grid are criterion 6's runs.
+    (records, summary), _ = default_grid_t100
+    write_records(records, str(tmp_path / "records.csv"))
+    write_summary(summary, str(tmp_path / "summary.csv"))
+    for name in ("records.csv", "summary.csv"):
+        assert (tmp_path / name).read_bytes() == _header_and_t100_lines(
+            RESULTS / name), f"results/default/{name} is stale"
 
 
 @pytest.fixture(scope="module")

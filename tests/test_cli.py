@@ -476,6 +476,17 @@ class TestHelpShowsTheAppliedDefaults:
         const = _action("bench", "optimum").const
         assert f"(branch, default {const})" in _help("bench", capsys)
 
+    def test_output_dir_and_bench_dim_read_their_constants(self, monkeypatch,
+                                                           capsys):
+        monkeypatch.setattr(cli, "OUTPUT_DIR", "elsewhere")
+        monkeypatch.setattr(cli, "BENCH_DIM", 4)
+        assert "output directory (default elsewhere)" in _help("experiment", capsys)
+        assert "dimension for --optimum (default 4)" in _help("bench", capsys)
+        assert parse_config()[1] == "elsewhere"
+        assert main(["bench", "zhou1", "--optimum"]) == 0
+        point = capsys.readouterr().out.split("point: ")[1].splitlines()[0]
+        assert len(point.split(",")) == 4
+
 
 class TestBenchCommand:
     def test_help_lists_the_functions(self, capsys):
@@ -602,6 +613,12 @@ class TestRunAndExperimentCommands:
             "records.csv", "summary.csv"]
         table = capsys.readouterr().out
         assert "mean_grad_norm" in table and "zhou1" in table
+
+    def test_experiment_prints_the_summary_it_wrote(self, tmp_path, capsys):
+        out_dir = tmp_path / "cell"
+        assert main(["experiment", *FAST_CELL, "--out", str(out_dir)]) == 0
+        table = harness.render_summary(str(out_dir / "summary.csv"))
+        assert capsys.readouterr().out == table + "\n"
 
     def test_experiment_grid_row_count(self, tmp_path, capsys):
         out_dir = tmp_path / "grid"

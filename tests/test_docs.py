@@ -1,10 +1,13 @@
 """README names the config keys and the CSV columns that the code defines,
 in the code's order, its config block shows the code's defaults, and its
-`stagbench` commands parse; the line references in FIDELITY.md and
+`stagbench` commands parse; its results block is `render_summary` of the
+committed `results/default/summary.csv`, of the full default grid, and its
+opening paragraph quotes that table; the line references in FIDELITY.md and
 ROADMAP.md point at source lines."""
 
 from __future__ import annotations
 
+import csv
 import re
 import shlex
 from pathlib import Path
@@ -12,12 +15,14 @@ from pathlib import Path
 import pytest
 
 from stagbench.cli import CONFIG_KEYS, _parse_args, parse_config
-from stagbench.harness import RECORDS_COLUMNS, SUMMARY_COLUMNS, ExperimentConfig
+from stagbench.harness import (RECORDS_COLUMNS, SUMMARY_COLUMNS, ExperimentConfig,
+                               render_summary)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text("utf-8")
 FIDELITY = (ROOT / "FIDELITY.md").read_text("utf-8")
 ROADMAP = (ROOT / "ROADMAP.md").read_text("utf-8")
+RESULTS = ROOT / "results" / "default"
 
 
 def _readme_config_block():
@@ -61,6 +66,36 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             pytest.fail(f"README command `stagbench {shlex.join(argv)}` does not "
                         f"parse: {capsys.readouterr().err}")
+
+
+def test_committed_results_are_the_default_grid():
+    cfg = ExperimentConfig()
+    cells = len(cfg.functions) * len(cfg.algorithms) * len(cfg.T_values)
+    for name, rows in (("records.csv", cells * cfg.runs), ("summary.csv", cells)):
+        lines = (RESULTS / name).read_text("utf-8").splitlines()
+        assert len(lines) == 1 + rows, name
+
+
+def test_readme_results_block_is_the_committed_summary():
+    expected = render_summary(str(RESULTS / "summary.csv"))
+    block = re.search(r"<!-- results:begin -->\n(.*?)\n<!-- results:end -->",
+                      README, re.S)
+    assert block is not None and block.group(1) == expected, (
+        "README's results block is not render_summary of "
+        "results/default/summary.csv; paste this between the markers:\n"
+        + expected
+    )
+
+
+def test_readme_opening_quotes_the_results_table():
+    with open(RESULTS / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    none = sum(float(row["stationary_fraction"]) == 0 for row in rows)
+    top = max(rows, key=lambda row: float(row["stationary_fraction"]))
+    opening = " ".join(README.split("The pieces:")[0].split())
+    assert f"in {none} of the {len(rows)} cells" in opening
+    assert (f"`{top['stationary_fraction']}` ({top['function']}/{top['algorithm']} "
+            f"at T={top['T']})") in opening
 
 
 def _check_line_references(text):

@@ -6,6 +6,7 @@ import csv
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import threading
 from pathlib import Path
@@ -26,7 +27,7 @@ from stagbench.harness import (
     RunRecord,
     curve_filename,
     format_float,
-    render_summary_table,
+    render_summary,
     run_experiment,
     run_single,
     run_until_stagnation,
@@ -637,13 +638,32 @@ class TestFormatting:
         for x in (0.1, 1 / 3, 1e300, 5e-324, -0.0, 123456789.123456789):
             assert float(format_float(x)) == x
 
-    def test_render_table_contains_csv_numbers(self):
+    def test_render_table_contains_csv_numbers(self, tmp_path):
         cfg = _small_cfg()
         _, summary = run_experiment(cfg)
-        table = render_summary_table(summary)
+        path = tmp_path / "summary.csv"
+        write_summary(summary, str(path))
+        table = render_summary(str(path))
         for row in summary:
             assert format_float(row.mean_grad_norm) in table
             assert format_float(row.stationary_fraction) in table
+
+    def test_render_prints_each_cell_as_written(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text("function,a,b\nzhou1,-0,nan\nzhou22,inf,1e+308\n")
+        assert render_summary(str(path)) == (
+            "| function |   a |      b |\n"
+            "| -------- | --- | ------ |\n"
+            "|    zhou1 |  -0 |    nan |\n"
+            "|   zhou22 | inf | 1e+308 |"
+        )
+
+    @pytest.mark.parametrize("line", ("zhou1,1", "zhou1,1,2,3", ""))
+    def test_render_rejects_a_ragged_line_at_its_location(self, tmp_path, line):
+        path = tmp_path / "summary.csv"
+        path.write_text(f"function,a,b\nzhou1,1,2\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "):
+            render_summary(str(path))
 
 
 class TestCsvOutput:
