@@ -43,7 +43,7 @@ __all__ = ["ALGORITHMS", "AlgoState", "check_name", "init", "step", "best"]
 ALGORITHMS = ("gl25", "clpso", "lshade", "gwo", "woa", "hho")
 
 
-@dataclass
+@dataclass(eq=False)
 class AlgoState:
     """A run in progress: population with cached values, adaptive memory,
     best-so-far tracker and counters.  `step` advances the state in place

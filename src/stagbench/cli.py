@@ -38,7 +38,14 @@ __all__ = ["main", "parse_config", "CONFIG_KEYS"]
 
 
 def _parse_list(text) -> List[str]:
-    return [part.strip() for part in str(text).split(",") if part.strip()]
+    # The empty text is the empty list; an empty item, as in "1,,2" or a
+    # trailing comma, is an error.
+    items = [part.strip() for part in str(text).split(",")]
+    if items == [""]:
+        return []
+    if "" in items:
+        raise ValueError(text)
+    return items
 
 
 def _integers(text) -> tuple:

@@ -111,7 +111,7 @@ def euclidean_norm(v: np.ndarray) -> float:
     return norm
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Bounds:
     """The cube [lo, hi]^dim."""
 

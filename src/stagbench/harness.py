@@ -14,7 +14,7 @@ With curve capture on, each record carries its best-so-far curve as a
 `Curve`, which iterates one ``(generation, best_value)`` pair per
 generation and is stored as change points (the start point plus each
 generation whose best value differs from the one before).  It costs about
-65 bytes of memory and 13 pickled bytes per improvement, whatever the
+65 bytes of memory and 12 pickled bytes per improvement, whatever the
 number of generations, so pool results and the parent's memory grow with
 the number of improvements, not of generations.
 
@@ -148,9 +148,6 @@ class Curve:
         if self.gens[-1] - self.gens[0] >= self.length:
             raise ValueError("the last change point lies past the end of the curve")
 
-    def __reduce__(self):
-        return Curve, (self.gens, self.vals, self.length)
-
     def __len__(self) -> int:
         return self.length
 
@@ -166,7 +163,7 @@ class Curve:
         return zip(self.gens, stops, self.vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Outcome of a single stagnation-terminated run."""
 
@@ -446,10 +443,12 @@ def write_curves(records: Sequence[RunRecord], directory: str) -> List[str]:
 def render_summary(path: str) -> str:
     """The CSV at `path` (a `summary.csv`) as a Markdown table: each cell
     exactly as written, right-aligned in columns padded to one width, so it
-    also lines up in a terminal.  A line whose cell count differs from the
-    header's raises ValueError naming path:lineno."""
+    also lines up in a terminal.  An empty file raises ValueError naming
+    path, and a line whose cell count differs from the header's, path:lineno."""
     with open(path, newline="") as fh:
         rows = [line.rstrip("\n").split(",") for line in fh]
+    if not rows:
+        raise ValueError(f"{path}: empty file, expected a header line")
     for lineno, row in enumerate(rows, 1):
         if len(row) != len(rows[0]):
             raise ValueError(

@@ -108,6 +108,19 @@ class TestParseConfig:
         ):
             parse_config(None, {"stationarity_threshold": "x"})
 
+    @pytest.mark.parametrize("key, text, kind", (
+        ("functions", "zhou1,", "a comma-separated name list"),
+        ("algorithms", "gwo, ,woa", "a comma-separated name list"),
+        ("T", "100,,1000", "a comma-separated integer list"),
+        ("bounds", "1,,2", "'lo,hi' numbers"),
+    ), ids=("functions", "algorithms", "T", "bounds"))
+    def test_empty_list_item_names_the_key(self, tmp_path, key, text, kind):
+        path = tmp_path / "grid.cfg"
+        path.write_text(f"{key} = {text}\n")
+        message = f"^{key} must be {kind}, got '{text}'$"
+        with pytest.raises(ValueError, match=message):
+            parse_config(str(path))
+
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("functions zhou1\n")
@@ -411,10 +424,12 @@ class TestNominalCommand:
         )
 
     def test_bad_stagnant_exits_2_and_names_flag(self, capsys):
-        assert main(["nominal", "--alpha", "0.5", "--stagnant", "a"]) == 2
-        assert capsys.readouterr().err == (
-            "error: --stagnant must be comma-separated integers, got 'a'\n"
-        )
+        for text in ("a", "0,,1"):
+            assert main(["nominal", "--alpha", "0.5", "--n", "3",
+                         "--stagnant", text]) == 2
+            assert capsys.readouterr().err == (
+                f"error: --stagnant must be comma-separated integers, got '{text}'\n"
+            )
 
     def test_size_that_cannot_be_allocated_fails_in_one_line(self):
         # 1e9 x 1e6 float64s is about 7 PiB, past the 128 TiB user address
@@ -547,7 +562,11 @@ class TestBenchCommand:
                 assert name in err
 
     def test_bad_point_exits_2(self, capsys):
-        assert main(["bench", "zhou1", "--point", "1,zebra"]) == 2
+        for point in ("1,zebra", "1,,2,8", "1,2,"):
+            assert main(["bench", "zhou1", "--point", point]) == 2
+            assert capsys.readouterr() == ("", (
+                f"error: --point must be comma-separated numbers, got '{point}'\n"
+            ))
 
     @pytest.mark.parametrize("point, error", (
         ("inf,2,8", "batch contains non-finite coordinates"),
@@ -700,12 +719,20 @@ class TestRunAndExperimentCommands:
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["experiment", "--config", "/no/such/file.cfg"]) == 2
 
-    def test_invalid_t_exits_2(self, capsys):
+    def test_invalid_t_exits_2(self, tmp_path, capsys):
         code = main([
             "experiment", "--functions", "zhou1", "--algorithms", "gwo",
             "--T", "0", "--runs", "1",
         ])
         assert code == 2
+        out = tmp_path / "out"
+        assert main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
+                     "--T", "100,,1000", "--runs", "1",
+                     "--max-generations", "1001", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            "error: T must be a comma-separated integer list, got '100,,1000'\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("bounds", ("a,b", "1", "1,2,3"))
     def test_bad_bounds_exits_2_and_names_key(self, capsys, bounds):

@@ -658,6 +658,20 @@ class TestFormatting:
             "|   zhou22 | inf | 1e+308 |"
         )
 
+    def test_render_rejects_an_empty_file_by_its_path(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty"):
+            render_summary(str(path))
+
+    def test_render_of_a_header_only_file_is_a_table_with_no_rows(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_text("function,a\n")
+        assert render_summary(str(path)) == (
+            "| function | a |\n"
+            "| -------- | - |"
+        )
+
     @pytest.mark.parametrize("line", ("zhou1,1", "zhou1,1,2,3", ""))
     def test_render_rejects_a_ragged_line_at_its_location(self, tmp_path, line):
         path = tmp_path / "summary.csv"
