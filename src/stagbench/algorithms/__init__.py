@@ -100,7 +100,7 @@ def init(
     check_name(algorithm)
     schedule_horizon = as_integer("schedule_horizon", schedule_horizon, 1)
     body = _module(algorithm)
-    dim = objective.dim
+    dim = objective.domain.dim
     n = body.pop_size(dim)
     X = gen.uniform(objective.domain.lo, objective.domain.hi, size=(n, dim))
     vals = sentinel_values(objective.value_batch(X))

@@ -47,7 +47,7 @@ def init_memory(state: AlgoState) -> dict:
         "m_f": np.full(MEMORY_SIZE, 0.5),
         "m_cr": np.full(MEMORY_SIZE, 0.5),
         "k": 0,
-        "archive": np.empty((0, state.objective.dim)),
+        "archive": np.empty((0, state.objective.domain.dim)),
     }
 
 

@@ -66,6 +66,13 @@ _BOOL_TRUE = ("1", "true", "yes", "on")
 _BOOL_FALSE = ("0", "false", "no", "off")
 
 
+def _path(text) -> str:
+    # The empty text names no directory.
+    if not str(text):
+        raise ValueError(text)
+    return str(text)
+
+
 def _boolean(text) -> bool:
     low = str(text).strip().lower()
     if low not in _BOOL_TRUE + _BOOL_FALSE:
@@ -97,7 +104,7 @@ _CONFIG_TABLE = {
     "workers": (("workers",), int, "an integer", "--workers",
                 "worker processes (0 = auto); capped at the usable CPU count "
                 "and at the number of runs"),
-    "output_dir": (("output_dir",), str, "a path",
+    "output_dir": (("output_dir",), _path, "a path",
                    "--out", "output directory (default {output_dir})"),
     "curves": (("capture_curves",), _boolean, "a boolean",
                "--curves", "capture per-generation curves"),
@@ -110,11 +117,15 @@ def read_config_file(path: str) -> dict:
 
     Blank lines and comments (from a ``#`` that starts the line or follows
     whitespace) are skipped and keys and values stripped, as is a leading
-    UTF-8 byte-order mark; a line without ``=``, an unknown key or a key set
-    twice raises ValueError at path:lineno."""
+    UTF-8 byte-order mark; a byte that is not UTF-8, a line without ``=``, an
+    unknown key or a key set twice raises ValueError at path:lineno."""
     values = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    # An undecodable byte reads as a surrogate in U+DC80..U+DCFF, which
+    # valid UTF-8 never decodes to.
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            if re.search("[\udc80-\udcff]", raw):
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text")
             line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue

@@ -159,18 +159,14 @@ class ObjectiveSpec:
     batch_gradient: Callable[[np.ndarray], np.ndarray]
     domain: Bounds
 
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
     def value_batch(self, X: np.ndarray) -> np.ndarray:
         return self.batch_evaluator(X)
 
     def grad(self, p: np.ndarray) -> np.ndarray:
         X = as_points([p])
-        if X.shape[1] != self.dim:
+        if X.shape[1] != self.domain.dim:
             raise ValueError(
-                f"expected a point of dimension {self.dim}, got {X.shape[1]}"
+                f"expected a point of dimension {self.domain.dim}, got {X.shape[1]}"
             )
         return self.batch_gradient(X)[0]
 
@@ -193,7 +189,7 @@ def _label_word(label) -> int:
     raise TypeError(f"stream labels must be int or str, got {type(label).__name__}")
 
 
-def derive_stream(base_seed: int, labels: Sequence = ()) -> np.random.Generator:
+def derive_stream(base_seed: int, labels: Sequence) -> np.random.Generator:
     """A fresh generator at the origin of the substream that `labels`
     address under `base_seed`.
 

@@ -142,12 +142,6 @@ class Curve:
     vals: Tuple[float, ...]
     length: int
 
-    def __post_init__(self):
-        if not 1 <= len(self.gens) == len(self.vals):
-            raise ValueError("a curve needs one value per change point, at least one")
-        if self.gens[-1] - self.gens[0] >= self.length:
-            raise ValueError("the last change point lies past the end of the curve")
-
     def __len__(self) -> int:
         return self.length
 
@@ -225,10 +219,8 @@ def run_until_stagnation(
         if capture and state.tracker.best_value != vals[-1]:
             gens.append(state.generation)
             vals.append(state.tracker.best_value)
-    if not capture:
-        return state, termination, ()
-    curve = Curve(tuple(gens), tuple(vals), state.generation - start + 1)
-    return state, termination, curve
+    return state, termination, (
+        Curve(tuple(gens), tuple(vals), state.generation - start + 1) if capture else ())
 
 
 def run_single(

@@ -97,6 +97,8 @@ class TestParseConfig:
         path.write_text("banana = 1\n")
         with pytest.raises(ValueError, match="banana"):
             parse_config(str(path))
+        with pytest.raises(ValueError, match="^unknown config key 'bogus'$"):
+            parse_config(overrides={"bogus": "1"})
 
     def test_invalid_runs_names_field(self):
         with pytest.raises(ValueError, match="runs"):
@@ -138,8 +140,9 @@ class TestParseConfig:
 
 
 # For each config key: a text its parser or ExperimentConfig rejects, and
-# the one stderr line and exit code it gives.  Any string is a path, so the
-# bad output_dir is one that cannot be created: an I/O error.
+# the one stderr line and exit code it gives.  Any text but the empty one is
+# a path; one that cannot be created is an I/O error, which
+# `test_unwritable_output_exits_3` checks.
 MALFORMED = {
     "functions": ("zhou9", "error: unknown benchmark function 'zhou9'; expected "
                   "one of ('zhou1', 'zhou2', 'zhou3')\n", 2),
@@ -155,8 +158,7 @@ MALFORMED = {
     "stationarity_threshold": (
         "x", "error: stationarity_threshold must be a number, got 'x'\n", 2),
     "workers": ("1.5", "error: workers must be an integer, got '1.5'\n", 2),
-    "output_dir": ("/dev/null/x", "error: output directory not writable: "
-                   "[Errno 20] Not a directory: '/dev/null/x'\n", 3),
+    "output_dir": ("", "error: output_dir must be a path, got ''\n", 2),
     "curves": ("maybe", "error: curves must be a boolean, got 'maybe'\n", 2),
 }
 
@@ -263,9 +265,11 @@ class TestExperimentFlags:
         assert exc.value.code == 2
         assert "argument --bounds: expected one argument" in capsys.readouterr().err
 
-    def test_negative_horizon_reaches_the_config_check(self, capsys):
-        assert main(["experiment", "--T", "-5,100"]) == 2
+    def test_negative_horizon_reaches_the_config_check(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", "--T", "-5,100", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: every T must be >= 1\n"
+        assert not out.exists()
 
     def test_abbreviated_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -297,6 +301,8 @@ OWNED_RULES = {
             lambda: benchmarks.objective("zhou1", Bounds(-100.0, 100.0, 1))),
     "box": (dict(bounds_lo=1, bounds_hi=-1), ["--bounds", "1,-1"],
             lambda: Bounds(1.0, -1.0, 3)),
+    "empty axis": (dict(functions=()), ["--functions", ""],
+                   lambda: ExperimentConfig(functions=())),
 }
 
 
@@ -343,6 +349,25 @@ class TestReadConfigFile:
         with pytest.raises(ValueError) as exc:
             read_config_file(str(path))
         assert str(exc.value) == f"{path}:2: expected key = value, got 'dim 2'"
+
+    def test_byte_that_is_not_utf8_is_located(self, tmp_path, capsys):
+        path = tmp_path / "x.cfg"
+        path.write_bytes(b"\xef\xbb\xbfruns = 1\r\n\r\ndim = 4\r# caf\xe9\nT = 5\n")
+        with pytest.raises(ValueError) as exc:
+            read_config_file(str(path))
+        assert str(exc.value) == f"{path}:4: not UTF-8 text"
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:4: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", ("\n", "\r\n", "\r"),
+                             ids=("lf", "crlf", "cr"))
+    def test_utf8_file_parses_under_every_line_ending(self, tmp_path, newline):
+        path = tmp_path / "x.cfg"
+        text = newline.join(("# café ☕ 🙂", "runs = 2", "output_dir = résultats", ""))
+        path.write_bytes(text.encode("utf-8"))
+        assert read_config_file(str(path)) == {"runs": "2", "output_dir": "résultats"}
 
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         path = tmp_path / "x.cfg"
@@ -588,6 +613,17 @@ class TestBenchCommand:
             "at this point\n"
         )
 
+    @pytest.mark.parametrize("name, point", (
+        ("zhou1", "1e200,1,1"),
+        ("zhou3", "1e300,1e300,1e300"),
+    ), ids=("zhou1-inf", "zhou3-nan"))
+    def test_value_or_gradient_past_float64_exits_2(self, capsys, name, point):
+        assert main(["bench", name, "--point", point]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: the {name} value or gradient norm overflows float64 "
+            "at this point\n"
+        ))
+
     @pytest.mark.parametrize("warning_flags", ([], ["-W", "error"]))
     def test_finite_gradient_whose_squares_overflow(self, warning_flags):
         proc = _stagbench(warning_flags, "bench", "zhou2",
@@ -685,8 +721,11 @@ class TestRunAndExperimentCommands:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("zebra = 1\n")
-        assert main(["experiment", "--config", str(cfg_file)]) == 2
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
         assert "zebra" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_threshold_exits_2_and_names_key(self, tmp_path, capsys):
         code = main(["experiment", *ONE_RUN, "--threshold", "inf",
@@ -712,20 +751,43 @@ class TestRunAndExperimentCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_integer_bound_fails_before_an_unknown_name(self, capsys):
-        assert main(["experiment", "--runs", "0", "--functions", "zhou9"]) == 2
+    def test_integer_bound_fails_before_an_unknown_name(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", "--runs", "0", "--functions", "zhou9",
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: runs must be >= 1\n"
+        assert not out.exists()
 
-    def test_missing_config_file_exits_2(self, capsys):
-        assert main(["experiment", "--config", "/no/such/file.cfg"]) == 2
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", "/no/such/file.cfg",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", *ONE_RUN, "--config", str(tmp_path),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+        assert not out.exists()
+
+    def test_records_path_that_is_a_directory_exits_3(self, tmp_path, capsys):
+        (tmp_path / "records.csv").mkdir()
+        assert main(["experiment", *ONE_RUN, "--out", str(tmp_path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: failed writing reports: ")
+        assert str(tmp_path / "records.csv") in err
 
     def test_invalid_t_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
         code = main([
             "experiment", "--functions", "zhou1", "--algorithms", "gwo",
-            "--T", "0", "--runs", "1",
+            "--T", "0", "--runs", "1", "--out", str(out),
         ])
         assert code == 2
-        out = tmp_path / "out"
+        assert not out.exists()
         assert main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
                      "--T", "100,,1000", "--runs", "1",
                      "--max-generations", "1001", "--out", str(out)]) == 2
@@ -735,17 +797,22 @@ class TestRunAndExperimentCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("bounds", ("a,b", "1", "1,2,3"))
-    def test_bad_bounds_exits_2_and_names_key(self, capsys, bounds):
-        assert main(["experiment", "--bounds", bounds]) == 2
+    def test_bad_bounds_exits_2_and_names_key(self, tmp_path, capsys, bounds):
+        out = tmp_path / "out"
+        assert main(["experiment", *ONE_RUN, "--bounds", bounds,
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"bounds must be 'lo,hi' numbers, got '{bounds}'" in err
+        assert not out.exists()
 
-    def test_box_wider_than_float64_exits_2_and_names_key(self, capsys):
+    def test_box_wider_than_float64_exits_2_and_names_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
         code = main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
                      "--T", "5", "--runs", "4", "--workers", "2",
-                     "--bounds=-1e308,1e308"])
+                     "--bounds=-1e308,1e308", "--out", str(out)])
         assert code == 2
         assert "error: bounds must have a finite width" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeated_T_exits_2_and_names_key(self, tmp_path, capsys):
         code = main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
@@ -784,10 +851,17 @@ class TestRunAndExperimentCommands:
         assert code == 130
         assert capsys.readouterr().err == "interrupted\n"
 
-    def test_unwritable_output_exits_3(self, capsys):
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
         code = main(["experiment", "--functions", "zhou1", "--algorithms", "gwo",
                      "--T", "50", "--runs", "1", "--out", "/dev/null/x"])
         assert code == 3
+        err = ("error: output directory not writable: "
+               "[Errno 20] Not a directory: '/dev/null/x'\n")
+        assert capsys.readouterr().err == err
+        cfg_file = tmp_path / "out.cfg"
+        cfg_file.write_text("output_dir = /dev/null/x\n")
+        assert main(["experiment", *ONE_RUN, "--config", str(cfg_file)]) == 3
+        assert capsys.readouterr().err == err
 
     def test_write_probe_leaves_the_users_files_alone(self, tmp_path):
         (tmp_path / ".write_probe").write_text("notes\n")

@@ -486,4 +486,9 @@ class TestObjectiveSpec:
         assert np.array_equal(np.stack([spec.grad(x) for x in X]), grads)
 
     def test_dim_is_the_domain_dim(self):
-        assert self._quad().dim == 2
+        spec = self._quad()
+        assert not hasattr(spec, "dim")
+        assert spec.grad(np.zeros(spec.domain.dim)).shape == (2,)
+        for size in (1, 3):
+            with pytest.raises(ValueError, match=f"dimension 2, got {size}"):
+                spec.grad(np.zeros(size))

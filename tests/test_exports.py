@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so a deletion leaves no dead export,
 every module-level import is used or exported, so a deletion leaves no dead
 import, the package's top level exports only what README's library example
-uses, and each input rule's message is stated in `stagbench.core` alone."""
+uses, the version is stated once, and each input rule's message is stated
+in `stagbench.core` alone."""
 
 from __future__ import annotations
 
@@ -68,6 +69,19 @@ def test_top_level_exports_only_what_the_readme_example_calls():
     example = re.search(r"## Library use\n+```python\n(.*?)```", readme, re.S)
     called = set(re.findall(r"\bsb\.(\w+)", example.group(1)))
     assert set(stagbench.__all__) - {"__version__"} == called
+
+
+def test_version_is_stated_in_the_package_alone():
+    """`pyproject.toml` declares the version dynamic and reads it from
+    `stagbench.__version__`, so a release edits one line."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "stagbench.__version__"}
+    assert re.fullmatch(r"\d+\.\d+\.\d+", stagbench.__version__)
 
 
 # The message text of each input rule in `stagbench.core`.

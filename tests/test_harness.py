@@ -127,6 +127,12 @@ class TestConfigValidation:
             ExperimentConfig(**{field: value})
         assert str(exc.value) == f"{field} must be a sequence of {kind}, got {value!r}"
 
+    @pytest.mark.parametrize("field", ("functions", "algorithms", "T_values"))
+    def test_empty_grid_axis_rejected(self, field):
+        message = "^functions, algorithms and T_values must be non-empty$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{field: ()})
+
     def test_numpy_integers_accepted(self):
         cfg = _small_cfg(
             runs=np.int64(2), T_values=(np.int64(50),), base_seed=np.int32(7),
