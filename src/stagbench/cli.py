@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import benchmarks, harness, nominal, verify
+from . import algorithms, benchmarks, harness, nominal, verify
 from .core import as_points, derive_stream, euclidean_norm
 from .harness import ExperimentConfig, format_float
 
@@ -172,7 +172,7 @@ def parse_config(
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # No abbreviated flags: `_parse_args` sees each flag under its one name.
+    # No abbreviated flags: each flag has one spelling.
     parser = argparse.ArgumentParser(
         prog="stagbench",
         allow_abbrev=False,
@@ -236,19 +236,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse `argv` as `main` does: a flag that takes one value takes the next
-    token as its value even when it starts with "-", as in ``--bounds -10,10``
-    or ``--point -1,2,3``."""
-    parser, argv, i = _build_parser(), list(argv), 1
-    commands = next(a.choices for a in parser._actions if a.dest == "command")
-    command = commands.get(argv[0]) if argv else None
-    flags = {flag for action in (command._actions if command else ())
-             if action.nargs is None for flag in action.option_strings}
-    while i < len(argv) - 1:
-        if argv[i] in flags:
-            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
-        i += 1
-    return parser.parse_args(argv)
+    """Parse `argv` as `main` does: a token that starts with a single "-",
+    other than "-h", and follows a ``--flag`` without "=" is that flag's
+    value, as in ``--bounds -10,10`` or ``--point -1,2,3``."""
+    joined = []
+    for token in argv:
+        if joined and re.fullmatch("--[^=]+", joined[-1]) and re.match("-(?!-|h$)", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return _build_parser().parse_args(joined)
 
 
 def _cmd_nominal(args) -> int:
@@ -328,6 +325,14 @@ def _cmd_experiment(args) -> int:
     try:
         harness.write_records(records, os.path.join(output_dir, "records.csv"))
         harness.write_summary(summary, os.path.join(output_dir, "summary.csv"))
+        # Curve files of an earlier grid would read as this grid's, so every
+        # name that `curve_filename` gives some function, algorithm and
+        # integer T goes before this grid's are written.
+        for name in os.listdir(output_dir):
+            if name in {harness.curve_filename(f, a, int(T))
+                        for f in benchmarks.FUNCTIONS for a in algorithms.ALGORITHMS
+                        for T in re.findall("-?[0-9]+", name)}:
+                os.remove(os.path.join(output_dir, name))
         harness.write_curves(records, output_dir)
         print(harness.render_summary(os.path.join(output_dir, "summary.csv")))
     except OSError as exc:

@@ -326,18 +326,19 @@ def run_experiment(
 def summarize(
     records: Sequence[RunRecord], cfg: ExperimentConfig
 ) -> List[SummaryRow]:
-    """Per-(function, T, algorithm) aggregation, ordered by that key
-    (functions and algorithms in config order, T ascending)."""
+    """Per-(function, T, algorithm) aggregation in the grid's order
+    (functions and algorithms in config order, T ascending); a cell
+    without records has no row."""
     cells = {}
     for rec in records:
         cells.setdefault((rec.function, rec.T, rec.algorithm), []).append(rec)
-    f_order = {f: i for i, f in enumerate(cfg.functions)}
-    a_order = {a: i for i, a in enumerate(cfg.algorithms)}
     rows = []
-    for (function, T, algorithm) in sorted(
-        cells, key=lambda k: (f_order[k[0]], k[1], a_order[k[2]])
+    for function, T, algorithm in product(
+        cfg.functions, sorted(cfg.T_values), cfg.algorithms
     ):
-        recs = cells[(function, T, algorithm)]
+        recs = cells.get((function, T, algorithm))
+        if not recs:
+            continue
         grads = np.array([r.grad_norm for r in recs])
         # The sum can overflow for finite norms; only then, as
         # `euclidean_norm` does, the mean is taken again over scaled terms.

@@ -60,10 +60,9 @@ class CountingObjective:
         )
 
 
-class TestParamSet:
+class TestPublishedParameters:
     """The published parameters: module constants in each algorithm body, and
-    the initial population `init` draws with them.  The class keeps the name
-    it had under the old parameter-set type, so its test ids stay the same."""
+    the initial population `init` draws with them."""
 
     def test_defaults_table_has_all_algorithms(self):
         for algorithm in algos.ALGORITHMS:

@@ -265,6 +265,24 @@ class TestExperimentFlags:
         assert exc.value.code == 2
         assert "argument --bounds: expected one argument" in capsys.readouterr().err
 
+    def test_dash_dash_token_is_never_a_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(["experiment", "--out", "--runs", "2"])
+        assert exc.value.code == 2
+        assert "argument --out: expected one argument" in capsys.readouterr().err
+
+    def test_dash_token_after_a_switch_names_the_switch(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(["experiment", "--curves", "-x"])
+        assert exc.value.code == 2
+        assert "argument --curves/--no-curves:" in capsys.readouterr().err
+
+    def test_help_after_a_flag_is_still_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_args(["experiment", "--curves", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: stagbench experiment")
+
     def test_negative_horizon_reaches_the_config_check(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["experiment", "--T", "-5,100", "--out", str(out)]) == 2
@@ -703,6 +721,24 @@ class TestRunAndExperimentCommands:
         ])
         assert code == 0
         assert (out_dir / "curve_zhou1_gwo_T50.csv").exists()
+
+    def test_experiment_replaces_every_curve_file(self, tmp_path):
+        # A curve file of an earlier grid goes, even one this grid does not
+        # write; a file whose name `curve_filename` does not give stays.
+        out_dir = tmp_path / "curves"
+        grid = ["--functions", "zhou1", "--algorithms", "gwo", "--runs", "1",
+                "--out", str(out_dir)]
+        assert main(["experiment", *grid, "--T", "5,7", "--curves"]) == 0
+        kept = ("curve_notes.csv", "notes.csv", "curve_zhou1_gwo_T05.csv")
+        for name in kept:
+            (out_dir / name).write_text("mine\n")
+        assert main(["experiment", *grid, "--T", "3", "--curves"]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["curve_zhou1_gwo_T3.csv", "records.csv", "summary.csv", *kept])
+        assert main(["experiment", *grid, "--T", "3"]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["records.csv", "summary.csv", *kept])
+        assert all((out_dir / name).read_text() == "mine\n" for name in kept)
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "exp.cfg"

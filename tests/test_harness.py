@@ -469,6 +469,18 @@ class TestRunExperiment:
         )
         assert keys == sorted_keys
 
+    def test_summary_follows_the_grid_order(self):
+        # Functions and algorithms in config order, T ascending, whatever
+        # order the records come in.
+        cfg = _small_cfg(functions=("zhou2", "zhou1"), algorithms=("woa", "gwo"),
+                         T_values=(5, 3), runs=1, max_generations=20)
+        records, _ = run_experiment(cfg)
+        summary = harness.summarize(records[::-1], cfg)
+        assert [(row.function, row.T, row.algorithm) for row in summary] == [
+            (f, T, a) for f in ("zhou2", "zhou1") for T in (3, 5)
+            for a in ("woa", "gwo")
+        ]
+
     def test_workers_do_not_change_results(self, monkeypatch):
         _pin_cpus(monkeypatch, {0, 1, 2})
         cfg = _small_cfg()
